@@ -73,7 +73,7 @@ def _load_passages(
     try:
         if fmt == INTERCHANGE:
             return [from_interchange(raw)]
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
         chunks = split_passages(text)
         stem = Path(path).name.removesuffix(".txt")
         passages = []
@@ -134,12 +134,18 @@ def cmd_parse(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
     status = OK
     buffer = io.StringIO()
+    written_by: dict[Path, str] = {}
     for path in args.paths:
         try:
             passages = _load_passages(path, lenient_remotes=args.lenient_remotes)
             written = []
             for i, passage in enumerate(passages, start=1):
                 target = _out_path(path, args.out_dir, i, len(passages))
+                earlier = written_by.setdefault(target.resolve(), path)
+                if earlier != path:
+                    raise _Failure(
+                        f"{target}: already written for {earlier}; {path} would overwrite it"
+                    )
                 try:
                     target.write_bytes(to_interchange(passage))
                 except OSError as exc:
@@ -350,7 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except RecursionError:
+        # Output is buffered per command, so nothing has reached stdout.
+        print("uccakit: error: input nested too deeply to process", file=sys.stderr)
+        return FAILURE
 
 
 def entry_point() -> None:

@@ -149,16 +149,20 @@ class EdgeSpec:
 
 
 class Passage:
-    """An immutable annotated passage.  Create via `build_passage`."""
+    """An immutable annotated passage.  Create via `build_passage`.
 
-    def __init__(self, passage_id, tokens, units, root, primary_parent, remote_parents, yields):
+    `extents` maps every unit id to the token positions under it along
+    primary edges: its surface extent.
+    """
+
+    def __init__(self, passage_id, tokens, units, root, primary_parent, remote_parents, extents):
         self.id = passage_id
         self.tokens: tuple[Token, ...] = tokens
         self.units: Mapping[str, Unit] = MappingProxyType(units)
         self.root: str = root
         self._primary_parent: Mapping[str, Edge] = MappingProxyType(primary_parent)
         self._remote_parents: Mapping[str, tuple[Edge, ...]] = MappingProxyType(remote_parents)
-        self._yields: Mapping[str, frozenset[int]] = MappingProxyType(yields)
+        self.extents: Mapping[str, frozenset[int]] = MappingProxyType(extents)
 
     def unit(self, unit_id: str) -> Unit:
         try:
@@ -181,15 +185,17 @@ class Passage:
         for unit in self.units.values():
             yield from unit.outgoing
 
-    def non_punct_positions(self) -> frozenset[int]:
-        return frozenset(t.position for t in self.tokens if not t.is_punct)
-
     def text_of(self, unit_id: str, limit: int | None = None) -> str:
         """The unit's surface text (primary yield, token order)."""
-        text = " ".join(self.tokens[p].text for p in sorted(self._yields[unit_id]))
+        text = " ".join(self.tokens[p].text for p in sorted(self.extents[unit_id]))
         if limit is not None:
             text = text[:limit]
         return text
+
+
+def id_key(unit_id: str):
+    """Sort key putting the dense numeric ids of `build_passage` in order."""
+    return (len(unit_id), unit_id)
 
 
 def _as_category_set(value) -> CategorySet:
@@ -368,17 +374,17 @@ def build_passage(
             else:
                 primary_parent[e.child] = e
 
-    yields: dict[str, frozenset[int]] = {}
+    extents: dict[str, frozenset[int]] = {}
     for uid in reversed(list(final_units)):
         unit = final_units[uid]
         if unit.kind == TERMINAL:
-            yields[uid] = frozenset(unit.tokens)
+            extents[uid] = frozenset(unit.tokens)
         else:
             agg: set[int] = set()
             for e in unit.outgoing:
                 if not e.remote:
-                    agg.update(yields[e.child])
-            yields[uid] = frozenset(agg)
+                    agg.update(extents[e.child])
+            extents[uid] = frozenset(agg)
 
     return Passage(
         passage_id,
@@ -387,7 +393,7 @@ def build_passage(
         rename[root],
         primary_parent,
         {k: tuple(v) for k, v in remote_parents.items()},
-        yields,
+        extents,
     )
 
 
@@ -424,7 +430,7 @@ def yield_of(passage: Passage, unit_id: str, include_remote: bool = False) -> fr
     """
     passage.unit(unit_id)
     if not include_remote:
-        return passage._yields[unit_id]
+        return passage.extents[unit_id]
     seen: set[str] = set()
     agg: set[int] = set()
     stack = [unit_id]
@@ -531,11 +537,11 @@ def _signature(passage: Passage, unit_id: str):
     remotes = []
     for e in unit.outgoing:
         if e.remote:
-            remotes.append((e.categories.labels, tuple(sorted(passage._yields[e.child]))))
+            remotes.append((e.categories.labels, tuple(sorted(passage.extents[e.child]))))
         elif passage.units[e.child].kind == IMPLICIT:
             children.append(((), e.categories.labels, "implicit"))
         else:
-            child_min = min(passage._yields[e.child], default=-1)
+            child_min = min(passage.extents[e.child], default=-1)
             children.append(((child_min,), e.categories.labels, _signature(passage, e.child)))
     return (
         unit.kind,

@@ -24,6 +24,7 @@ from .core import (
     UccaError,
     UnitSpec,
     build_passage,
+    id_key,
 )
 
 FORMAT_VERSION = "1"
@@ -43,10 +44,6 @@ def canonical_json_bytes(obj) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
-def _id_key(unit_id: str):
-    return (len(unit_id), unit_id)
-
-
 def to_interchange(passage: Passage) -> bytes:
     units = [
         {
@@ -54,7 +51,7 @@ def to_interchange(passage: Passage) -> bytes:
             "kind": unit.kind,
             "tokens": sorted(unit.tokens),
         }
-        for unit in sorted(passage.units.values(), key=lambda u: _id_key(u.id))
+        for unit in sorted(passage.units.values(), key=lambda u: id_key(u.id))
     ]
     edges = [
         {
@@ -63,7 +60,7 @@ def to_interchange(passage: Passage) -> bytes:
             "categories": list(e.categories.labels),
             "remote": e.remote,
         }
-        for e in sorted(passage.edges(), key=lambda e: (_id_key(e.parent), _id_key(e.child)))
+        for e in sorted(passage.edges(), key=lambda e: (id_key(e.parent), id_key(e.child)))
     ]
     doc = {
         "format_version": FORMAT_VERSION,
@@ -168,7 +165,7 @@ def from_interchange(data: bytes | str) -> Passage:
 
     # Sorting primary edges by child id recreates each unit's child order
     # for documents we wrote, since pre-order numbering follows it.
-    edges.sort(key=lambda e: (_id_key(e.parent), _id_key(e.child)))
+    edges.sort(key=lambda e: (id_key(e.parent), id_key(e.child)))
     return build_passage(
         tokens, units, edges, passage_id=passage_id, require_coverage=False
     )

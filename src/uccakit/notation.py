@@ -203,7 +203,7 @@ class _RawGroup:
     start: int
 
 
-@dataclass
+@dataclass(eq=False)
 class _Node:
     cats: CategorySet
     una: bool
@@ -449,6 +449,28 @@ def _check_dangling(scopes) -> None:
         )
 
 
+def _minimal_readers(readers, wanted, owner, parent):
+    """The units a remote from `owner` reading `wanted` may resolve to.
+
+    `readers` maps each surface text (a tuple of token texts) to the
+    units reading it, and `parent` gives a unit's primary parent or None.
+    The owner, its ancestors and its own children are never targets.
+    Among the rest the minimal unit wins: a candidate whose child is also
+    a candidate drops out, since reading the same tokens from inside it,
+    that child covers the very same extent.
+    """
+    blocked = set()
+    cur = owner
+    while cur is not None:
+        blocked.add(cur)
+        cur = parent(cur)
+    candidates = [
+        u for u in readers.get(wanted, ()) if u not in blocked and parent(u) != owner
+    ]
+    wrappers = {parent(u) for u in candidates}
+    return [u for u in candidates if u not in wrappers]
+
+
 def parse_passage(
     source: str,
     *,
@@ -505,50 +527,9 @@ def parse_passage(
                     "unit covers no text", position=node.start
                 )
 
-    yields: dict[int, frozenset[int]] = {}
-
-    def compute_yield(node: _Node) -> frozenset[int]:
-        agg = set(node.positions)
-        for child in node.children:
-            agg.update(compute_yield(child))
-        yields[id(node)] = frozenset(agg)
-        return yields[id(node)]
-
-    compute_yield(root)
-
-    texts = {
-        id(n): tuple(stream[p].text for p in sorted(yields[id(n)])) for n in all_nodes
-    }
-
-    def ancestors(node: _Node) -> set[int]:
-        seen = set()
-        cur = node.parent
-        while cur is not None:
-            seen.add(id(cur))
-            cur = cur.parent
-        return seen
-
     def resolve_remote(owner: _Node, paren: _RawParen) -> _Node:
         wanted = tuple(paren.words)
-        blocked = ancestors(owner) | {id(owner)}
-        candidates = [
-            n
-            for n in all_nodes
-            if texts[id(n)] == wanted
-            and id(n) not in blocked
-            and n.parent is not owner
-        ]
-        # Prefer the minimal unit: drop any candidate wrapped around
-        # another candidate with the very same extent.
-        spans = {id(n): yields[id(n)] for n in candidates}
-        ids = set(spans)
-        minimal = [
-            n
-            for n in candidates
-            if not any(
-                id(c) in ids and spans[id(c)] == spans[id(n)] for c in n.children
-            )
-        ]
+        minimal = _minimal_readers(readers, wanted, owner, lambda n: n.parent)
         if not minimal:
             raise UnresolvedRemote(
                 f"no unit reads {' '.join(wanted)!r}", position=paren.start
@@ -567,19 +548,19 @@ def parse_passage(
                 f"byte {paren.start}: {len(minimal)} units read {' '.join(wanted)!r};"
                 " picking the nearest preceding one"
             )
-        before = [n for n in minimal if min(yields[id(n)]) < ref]
+        before = [n for n in minimal if min(extents[n]) < ref]
         if before:
-            return max(before, key=lambda n: min(yields[id(n)]))
-        return min(minimal, key=lambda n: min(yields[id(n)]))
+            return max(before, key=lambda n: min(extents[n]))
+        return min(minimal, key=lambda n: min(extents[n]))
 
     units: list[UnitSpec] = []
     edges: list[EdgeSpec] = []
-    ids: dict[int, str] = {}
+    ids: dict[_Node, str] = {}
     remote_requests: list[tuple[_Node, _RawParen]] = []
 
     def emit(node: _Node) -> str:
         uid = f"t{len(units)}"
-        ids[id(node)] = uid
+        ids[node] = uid
         units.append(
             UnitSpec(uid, node.kind if node is not root else INTERNAL, node.positions)
         )
@@ -599,9 +580,20 @@ def parse_passage(
         return uid
 
     emit(root)
+    if remote_requests:
+        # ids holds the nodes in pre-order, so children come before
+        # parents in reverse.
+        extents: dict[_Node, set[int]] = {}
+        for node in reversed(ids):
+            extents[node] = set(node.positions).union(*(extents[c] for c in node.children))
+        readers: dict[tuple[str, ...], list[_Node]] = {}
+        for node in ids:
+            text = tuple(stream[pos].text for pos in sorted(extents[node]))
+            readers.setdefault(text, []).append(node)
+
     for owner, paren in remote_requests:
         target = resolve_remote(owner, paren)
-        edges.append(EdgeSpec(ids[id(owner)], ids[id(target)], paren.cats, remote=True))
+        edges.append(EdgeSpec(ids[owner], ids[target], paren.cats, remote=True))
 
     return build_passage(
         stream, units, edges, passage_id=passage_id, require_coverage=False
@@ -609,8 +601,11 @@ def parse_passage(
 
 
 def split_passages(text: str) -> list[str]:
-    """Split a file into blank-line-separated passage sources."""
-    chunks = re.split(r"\n[ \t]*\n", text)
+    """Split a file into blank-line-separated passage sources.
+
+    Lines may end in LF or CRLF.
+    """
+    chunks = re.split(r"\r?\n[ \t]*\r?\n", text)
     return [c for c in chunks if c.strip()]
 
 
@@ -639,6 +634,7 @@ class _Renderer:
         self.side = label_side
         self.frags: dict[str, list[tuple[int, ...]]] = {}
         self.indices: dict[str, str] = {}
+        self.readers: dict[tuple[str, ...], list[str]] | None = None
 
     def render(self) -> str:
         p = self.p
@@ -650,7 +646,7 @@ class _Renderer:
         for uid, unit in p.units.items():
             if uid == p.root:
                 continue
-            if unit.kind == INTERNAL and not p._yields[uid]:
+            if unit.kind == INTERNAL and not p.extents[uid]:
                 raise RenderError(f"unit {uid} covers no tokens and cannot be written")
         for uid in p.units:
             self.frags[uid] = self._fragments(uid)
@@ -659,33 +655,27 @@ class _Renderer:
                 self._assign_indices(uid)
 
         top_items = []
-        covered_intervals = []
+        covered: set[int] = set()
         for e in p.units[p.root].outgoing:
             if e.remote or p.units[e.child].kind == IMPLICIT:
                 continue
             for k, frag in enumerate(self.frags[e.child]):
                 top_items.append((frag[0], self._bracket(e, k)))
-                covered_intervals.append((frag[0], frag[-1]))
-        for pos in range(len(p.tokens)):
-            covered = any(lo <= pos <= hi for lo, hi in covered_intervals)
-            claimed = any(
-                pos in p._yields[e.child]
-                for e in p.units[p.root].outgoing
-                if not e.remote
-            )
-            if not covered and not claimed:
-                top_items.append((pos, p.tokens[pos].text))
+                covered.update(range(frag[0], frag[-1] + 1))
+        top_items.extend(
+            (pos, tok.text) for pos, tok in enumerate(p.tokens) if pos not in covered
+        )
         top_items.sort(key=lambda item: item[0])
         pieces = [text for _, text in top_items]
         pieces.extend(self._paren_texts(p.root))
         return " ".join(pieces)
 
     def _fragments(self, uid: str) -> list[tuple[int, ...]]:
-        ys = sorted(self.p._yields[uid])
+        yset = self.p.extents[uid]
+        ys = sorted(yset)
         if not ys:
             return []
         frags = [[ys[0]]]
-        yset = self.p._yields[uid]
         for prev, cur in zip(ys, ys[1:]):
             split = any(
                 not self.p.tokens[r].is_punct and r not in yset
@@ -730,7 +720,7 @@ class _Renderer:
         lo, hi = frag[0], frag[-1]
         if unit.kind == TERMINAL:
             for pos in range(lo, hi + 1):
-                if pos in p._yields[uid] or p.tokens[pos].is_punct:
+                if pos in p.extents[uid] or p.tokens[pos].is_punct:
                     items.append((pos, p.tokens[pos].text))
         else:
             child_intervals = []
@@ -790,35 +780,23 @@ class _Renderer:
         return out
 
     def _check_unambiguous(self, owner: str, target: str, text: str) -> None:
-        # Re-run the reference resolution a reader would apply; if it
-        # would not land on a unit with the target's extent, the remote
-        # cannot be written as text.
+        # Re-run the reference resolution a reader would apply; unless it
+        # lands on exactly one unit, the remote cannot be written as text.
         p = self.p
-        blocked = {owner}
-        cur = p.primary_parent_edge(owner)
-        while cur is not None:
-            blocked.add(cur.parent)
-            cur = p.primary_parent_edge(cur.parent)
-        candidates = [
-            uid
-            for uid in p.units
-            if uid != p.root
-            and uid not in blocked
-            and p._yields[uid]
-            and p.text_of(uid) == text
-            and (p.primary_parent_edge(uid) is None or p.primary_parent_edge(uid).parent != owner)
-        ]
-        spans = {uid: p._yields[uid] for uid in candidates}
-        minimal = [
-            uid
-            for uid in candidates
-            if not any(
-                not e.remote and e.child in spans and spans[e.child] == spans[uid]
-                for e in p.units[uid].outgoing
-            )
-        ]
+        if self.readers is None:
+            self.readers = {}
+            for uid in p.units:
+                self.readers.setdefault(self._text(uid), []).append(uid)
+        minimal = _minimal_readers(self.readers, self._text(target), owner, self._parent)
         if len(minimal) != 1:
             raise RenderError(
                 f"{len(minimal)} units read {text!r}; the remote reference to"
                 f" {target} would be ambiguous"
             )
+
+    def _text(self, uid: str) -> tuple[str, ...]:
+        return tuple(self.p.tokens[pos].text for pos in sorted(self.p.extents[uid]))
+
+    def _parent(self, uid: str) -> str | None:
+        edge = self.p.primary_parent_edge(uid)
+        return edge and edge.parent

@@ -37,7 +37,7 @@ def signatures(passage: Passage) -> list[EdgeSignature]:
     for e in passage.edges():
         if passage.units[e.child].kind == IMPLICIT:
             continue
-        extent = passage._yields[e.child]
+        extent = passage.extents[e.child]
         if not extent:
             continue
         out.append(EdgeSignature(tuple(sorted(extent)), e.categories.labels, e.remote))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import IMPLICIT, INTERNAL, Passage
+from .core import IMPLICIT, INTERNAL, Passage, id_key, is_scene_unit
 
 ERROR = "error"
 WARNING = "warning"
@@ -141,10 +141,6 @@ def list_rules() -> list[RuleInfo]:
     return list(_RULES)
 
 
-def _id_key(unit_id: str):
-    return (len(unit_id), unit_id)
-
-
 def parse_config(text: str) -> dict[str, str]:
     """Parse severity overrides, one `RULE = error|warning|off` per line.
 
@@ -190,9 +186,6 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
     units = passage.units
     root = passage.root
 
-    def is_scene(unit) -> bool:
-        return any("P" in e.categories or "S" in e.categories for e in unit.outgoing)
-
     def unanalyzable(unit_id: str) -> bool:
         return any("UNA" in e.categories for e in passage.incoming(unit_id))
 
@@ -210,7 +203,7 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
 
         if (
             uid != root
-            and not is_scene(unit)
+            and not is_scene_unit(passage, uid)
             and not unanalyzable(uid)
             and len(unit.outgoing) >= 2
             and not any("H" in e.categories or "L" in e.categories for e in unit.outgoing)
@@ -237,7 +230,7 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
             if e.remote and "F" in e.categories:
                 report("R5", e.child, "function word attached as remote")
 
-            if "D" in e.categories and uid != root and not is_scene(unit):
+            if "D" in e.categories and uid != root and not is_scene_unit(passage, uid):
                 parent_in = passage.primary_parent_edge(uid)
                 coordination = (
                     parent_in is not None
@@ -252,10 +245,10 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
 
             if e.remote:
                 target = units[e.child]
-                if target.kind == INTERNAL and passage._yields[e.child]:
+                extent = passage.extents[e.child]
+                if target.kind == INTERNAL and extent:
                     wrapped = any(
-                        not c.remote
-                        and passage._yields[c.child] == passage._yields[e.child]
+                        not c.remote and passage.extents[c.child] == extent
                         for c in target.outgoing
                     )
                     if wrapped:
@@ -281,7 +274,7 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
         if all_f and any(e.remote for e in unit.outgoing):
             report("R5", uid, "function unit has remote children")
 
-        if unit.kind == INTERNAL and is_scene(unit):
+        if unit.kind == INTERNAL and is_scene_unit(passage, uid):
             base = incoming.categories.base()
             if not base <= {"A", "E", "C", "H"}:
                 report("R13", uid, f"scene unit serves its parent as {incoming.categories}")
@@ -312,5 +305,5 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
         if severity == OFF:
             continue
         out.append(Diagnostic(rule, severity, unit_id, message))
-    out.sort(key=lambda d: (_id_key(d.unit), _RULE_ORDER[d.rule]))
+    out.sort(key=lambda d: (id_key(d.unit), _RULE_ORDER[d.rule]))
     return out

@@ -129,6 +129,35 @@ class TestParse:
         assert "picking the nearest preceding one" in err
         assert (tmp_path / "ambiguous-remote.ucca.json").exists()
 
+    def test_crlf_file_splits_into_passages(self, capsys, tmp_path):
+        source = tmp_path / "x.txt"
+        source.write_bytes(b"[H [A Mary] [P left] ]\r\n\r\n[H [A John] [P came] ]\r\n")
+        code, _, _ = run(capsys, "parse", str(source), "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        made = sorted(f.name for f in (tmp_path / "out").iterdir())
+        assert made == ["x.1.ucca.json", "x.2.ucca.json"]
+
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            {"a/x.txt": MULTI.read_text(), "x.1.txt": KICKED.read_text()},
+            {"b/y.txt": KICKED.read_text(), "c/y.txt": SHOWER.read_text()},
+        ],
+        ids=["numbered-passage", "same-basename"],
+    )
+    def test_colliding_outputs_refused(self, capsys, tmp_path, inputs):
+        paths = []
+        for name, text in inputs.items():
+            path = tmp_path / name
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+            paths.append(str(path))
+        code, out, err = run(
+            capsys, "parse", *paths, "--keep-going", "--out-dir", str(tmp_path / "out")
+        )
+        assert (code, out) == (2, "")
+        assert paths[0] in err and paths[1] in err
+
 
 class TestValidate:
     def test_clean_corpus_file(self, capsys):
@@ -218,6 +247,20 @@ class TestValidate:
         )
         assert code == 2
         assert out == ""
+
+    def test_leading_byte_order_mark_ignored(self, capsys, tmp_path):
+        source = tmp_path / "bom.txt"
+        source.write_bytes(b"\xef\xbb\xbf" + KICKED.read_bytes())
+        code, out, _ = run(capsys, "validate", str(source))
+        assert (code, out) == (0, "")
+
+    def test_too_deep_nesting_exit_2(self, capsys, tmp_path):
+        source = tmp_path / "deep.txt"
+        source.write_text("[H [P ran] " + "[A " * 1200 + "x" + " ]" * 1201, encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(source))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_validates_interchange_by_extension(self, capsys, tmp_path):
         target = tmp_path / "kicked.ucca.json"

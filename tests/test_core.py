@@ -187,6 +187,14 @@ def test_yield_includes_remote_when_asked():
     assert plain < wide
 
 
+def test_extents_are_public_and_read_only():
+    p = apa()
+    assert set(p.extents) == set(p.units)
+    assert all(p.extents[uid] == yield_of(p, uid) for uid in p.units)
+    with pytest.raises(TypeError):
+        p.extents[p.root] = frozenset()
+
+
 def test_yield_unknown_unit():
     with pytest.raises(UnknownUnit):
         yield_of(apa(), "99")

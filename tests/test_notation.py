@@ -24,6 +24,7 @@ from uccakit import (
 )
 
 from conftest import CORPUS, EDGE_DIR, corpus_ids
+from test_validation import minimal_wrapper_passage
 
 
 def kinds(source):
@@ -299,6 +300,10 @@ class TestMultiPassage:
         assert len(chunks) == 2
         assert all(parse_passage(c) for c in chunks)
 
+    def test_split_on_crlf_blank_lines(self):
+        text = "[H [A Mary] [P left] ]\r\n \r\n[H [A John] [P came] ]\r\n"
+        assert split_passages(text) == ["[H [A Mary] [P left] ]", "[H [A John] [P came] ]\r\n"]
+
     def test_empty_text_has_no_passages(self):
         assert split_passages("") == []
         assert split_passages("\n\n\n") == []
@@ -374,6 +379,31 @@ class TestRender:
         )
         with pytest.raises(RenderError):
             render(p)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # "John" also names the owner's own child, which is no target.
+            lambda: parse_passage("[H [A John] [P slept] ] [H [A John] [P woke] (John A) ]"),
+            # "ball" also names the owner's parent, which is no target either.
+            lambda: parse_passage(
+                "[H [A ball] [P flew] ] [H [P bounced] [A [E [C ball] (ball A) ] ] ]"
+            ),
+            # The wrapper and its center read the same word.
+            lambda: parse_passage(
+                "[H [A [C ball] ] [P flew] ] [L and] [H [P bounced] (ball A) ]"
+            ),
+            minimal_wrapper_passage,
+            lambda: parse_passage("[L To] [H [P win] (you A) ] [H [A you] [P find] [A it] ]"),
+            lambda: parse_passage("[H [A John] [P slept] ] (John A)"),
+        ],
+        ids=["owner-child", "owner-ancestor", "parsed-wrapper", "built-wrapper", "forward", "root-owner"],
+    )
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_renderer_resolves_remotes_as_parser_does(self, make, side):
+        p = make()
+        assert any(e.remote for e in p.edges())
+        assert isomorphic(p, parse_passage(render(p, side)))
 
     def test_ambiguous_remote_reference_unrenderable(self):
         # Leniently parsed, the passage holds a remote whose target text

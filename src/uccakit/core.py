@@ -249,7 +249,9 @@ def build_passage(
             raise DanglingEdge(f"edge parent {e.parent!r} is not a declared unit")
         if e.child not in specs:
             raise DanglingEdge(f"edge child {e.child!r} is not a declared unit")
-        edge_list.append(EdgeSpec(e.parent, e.child, _as_category_set(e.categories), e.remote))
+        if not (isinstance(e, EdgeSpec) and isinstance(e.categories, CategorySet)):
+            e = EdgeSpec(e.parent, e.child, _as_category_set(e.categories), e.remote)
+        edge_list.append(e)
 
     outgoing: dict[str, list[EdgeSpec]] = {uid: [] for uid in specs}
     primary_in: dict[str, list[EdgeSpec]] = {uid: [] for uid in specs}
@@ -315,64 +317,53 @@ def build_passage(
                     f"remote edge {e.parent!r} -> {e.child!r} duplicates the primary edge"
                 )
 
-    # Reachability doubles as the cycle check: every non-root unit has
-    # exactly one primary parent, so anything unreachable sits on a cycle.
-    reached = set()
+    # One pre-order walk over primary edges renumbers the units and checks
+    # reachability.  Every non-root unit has exactly one primary parent, so
+    # the walk reaches each unit at most once, and a unit it never reaches
+    # sits on a cycle.
+    rename: dict[str, str] = {}
     stack = [root]
     while stack:
         uid = stack.pop()
-        if uid in reached:
-            continue
-        reached.add(uid)
-        stack.extend(e.child for e in outgoing[uid] if not e.remote)
-    if len(reached) != len(specs):
-        missing = sorted(set(specs) - reached)
+        rename[uid] = str(len(rename))
+        stack.extend([e.child for e in reversed(outgoing[uid]) if not e.remote])
+    if len(rename) != len(specs):
+        missing = sorted(set(specs) - rename.keys())
         raise PrimaryCycle(f"units {missing!r} are not reachable from the root")
 
-    _check_dag(specs, outgoing)
+    # Without remote edges the walk has already shown the graph is a tree.
+    if seen_remote:
+        _check_dag(specs, outgoing)
 
-    claimed: Counter[int] = Counter()
-    for spec in specs.values():
-        if spec.kind == TERMINAL:
-            claimed.update(spec.tokens)
-    for pos, count in claimed.items():
-        if count > 1:
-            raise TokenCoverageGap(f"token {tokens[pos].text!r} (position {pos}) belongs to {count} units")
+    claimed = [pos for spec in specs.values() if spec.kind == TERMINAL for pos in spec.tokens]
+    covered = set(claimed)
+    if len(covered) != len(claimed):
+        for pos, count in Counter(claimed).items():
+            if count > 1:
+                raise TokenCoverageGap(
+                    f"token {tokens[pos].text!r} (position {pos}) belongs to {count} units"
+                )
     if require_coverage:
         for tok in tokens:
-            if not tok.is_punct and claimed[tok.position] == 0:
+            if not tok.is_punct and tok.position not in covered:
                 raise TokenCoverageGap(
                     f"token {tok.text!r} (position {tok.position}) belongs to no unit"
                 )
 
-    rename: dict[str, str] = {}
-    order: list[str] = []
-
-    def visit(uid: str) -> None:
-        rename[uid] = str(len(rename))
-        order.append(uid)
-        for e in outgoing[uid]:
-            if not e.remote:
-                visit(e.child)
-
-    visit(root)
-
     final_units: dict[str, Unit] = {}
     primary_parent: dict[str, Edge] = {}
     remote_parents: dict[str, list[Edge]] = {}
-    for old in order:
-        spec = specs[old]
+    for old, new in rename.items():
         new_edges = tuple(
-            Edge(rename[e.parent], rename[e.child], e.categories, e.remote)
-            for e in outgoing[old]
+            [Edge(new, rename[e.child], e.categories, e.remote) for e in outgoing[old]]
         )
-        final_units[rename[old]] = Unit(rename[old], spec.kind, frozenset(spec.tokens), new_edges)
-    for unit in final_units.values():
-        for e in unit.outgoing:
+        for e in new_edges:
             if e.remote:
                 remote_parents.setdefault(e.child, []).append(e)
             else:
                 primary_parent[e.child] = e
+        spec = specs[old]
+        final_units[new] = Unit(new, spec.kind, frozenset(spec.tokens), new_edges)
 
     extents: dict[str, frozenset[int]] = {}
     for uid in reversed(list(final_units)):

@@ -12,6 +12,7 @@ just-deserialized document reproduces its bytes exactly.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 
 from .categories import CategorySet, InvalidCategory
 from .core import (
@@ -44,48 +45,68 @@ def canonical_json_bytes(obj) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
+def _array(items: list[str], indent: str) -> str:
+    """Encoded items laid out as `json.dumps(indent=2)` lays out a list
+    whose opening bracket sits at depth `indent`."""
+    if not items:
+        return "[]"
+    step = "\n" + indent + "  "
+    return "[" + step + ("," + step).join(items) + "\n" + indent + "]"
+
+
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
 def to_interchange(passage: Passage) -> bytes:
+    """The canonical document of the passage.
+
+    The result is `canonical_json_bytes` of the document's dict, but the
+    fixed schema is laid out here directly: `json.dumps` only uses its C
+    encoder without `indent`, and its pure-Python indenting encoder would
+    dominate the cost.  Strings go through the same C escaper.
+    """
+    enc = encode_basestring
+    tokens = [
+        f'{{\n      "is_punct": {_bool(t.is_punct)},\n      "text": {enc(t.text)}\n    }}'
+        for t in passage.tokens
+    ]
     units = [
-        {
-            "id": unit.id,
-            "kind": unit.kind,
-            "tokens": sorted(unit.tokens),
-        }
-        for unit in sorted(passage.units.values(), key=lambda u: id_key(u.id))
+        f'{{\n      "id": {enc(u.id)},\n      "kind": {enc(u.kind)},\n'
+        f'      "tokens": {_array([str(p) for p in sorted(u.tokens)], "      ")}\n    }}'
+        for u in sorted(passage.units.values(), key=lambda u: id_key(u.id))
     ]
     edges = [
-        {
-            "parent": e.parent,
-            "child": e.child,
-            "categories": list(e.categories.labels),
-            "remote": e.remote,
-        }
+        f'{{\n      "categories": {_array([enc(c) for c in e.categories.labels], "      ")},'
+        f'\n      "child": {enc(e.child)},\n      "parent": {enc(e.parent)},'
+        f'\n      "remote": {_bool(e.remote)}\n    }}'
         for e in sorted(passage.edges(), key=lambda e: (id_key(e.parent), id_key(e.child)))
     ]
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "id": passage.id,
-        "tokens": [{"text": t.text, "is_punct": t.is_punct} for t in passage.tokens],
-        "units": units,
-        "edges": edges,
-    }
-    return canonical_json_bytes(doc)
+    text = (
+        f'{{\n  "edges": {_array(edges, "  ")},\n  "format_version": {enc(FORMAT_VERSION)},'
+        f'\n  "id": {enc(passage.id)},\n  "tokens": {_array(tokens, "  ")},'
+        f'\n  "units": {_array(units, "  ")}\n}}\n'
+    )
+    return text.encode("utf-8")
 
 
 def _fail(message: str) -> None:
     raise MalformedDocument(message)
 
 
-def _field(obj: dict, key: str, kind: type, where: str):
+def _field(obj: dict, key: str, kind: type, what: str, index: int | None = None):
+    """obj[key], checked to be of `kind`.  The failure message names the
+    record as `what` or `what index`; it is only formatted on failure."""
     if key not in obj:
-        _fail(f"{where} is missing {key!r}")
+        _fail(f"{_where(what, index)} is missing {key!r}")
     value = obj[key]
-    if kind is bool:
-        if not isinstance(value, bool):
-            _fail(f"{where}: {key!r} must be a boolean")
-    elif not isinstance(value, kind) or isinstance(value, bool):
-        _fail(f"{where}: {key!r} must be {kind.__name__}")
+    if not isinstance(value, kind):
+        _fail(f"{_where(what, index)}: {key!r} must be {kind.__name__}")
     return value
+
+
+def _where(what: str, index: int | None) -> str:
+    return what if index is None else f"{what} {index}"
 
 
 def from_interchange(data: bytes | str) -> Passage:
@@ -97,13 +118,22 @@ def from_interchange(data: bytes | str) -> Passage:
     """
     if isinstance(data, bytes):
         try:
-            data = data.decode("utf-8")
+            source = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             _fail(f"not valid UTF-8: {exc}")
+    else:
+        source = data
     try:
-        doc = json.loads(data)
+        doc = json.loads(source)
     except json.JSONDecodeError as exc:
         _fail(f"not valid JSON: {exc}")
+    # A lone surrogate, raw in a str or decoded from a \uXXXX escape, fits
+    # no UTF-8 output.  Canonical documents are raw UTF-8 and skip this.
+    if source is data or "\\ud" in source or "\\uD" in source:
+        try:
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            _fail("not valid Unicode: a string holds a lone surrogate")
     if not isinstance(doc, dict):
         _fail("document must be a JSON object")
 
@@ -124,7 +154,7 @@ def from_interchange(data: bytes | str) -> Passage:
     for i, entry in enumerate(raw_tokens):
         if not isinstance(entry, dict):
             _fail(f"token {i} must be an object")
-        text = _field(entry, "text", str, f"token {i}")
+        text = _field(entry, "text", str, "token", i)
         is_punct = entry.get("is_punct", False)
         if not isinstance(is_punct, bool):
             _fail(f"token {i}: 'is_punct' must be a boolean")
@@ -135,32 +165,39 @@ def from_interchange(data: bytes | str) -> Passage:
     for i, entry in enumerate(raw_units):
         if not isinstance(entry, dict):
             _fail(f"unit {i} must be an object")
-        uid = _field(entry, "id", str, f"unit {i}")
-        kind = _field(entry, "kind", str, f"unit {i}")
+        uid = _field(entry, "id", str, "unit", i)
+        kind = _field(entry, "kind", str, "unit", i)
         if kind not in (TERMINAL, INTERNAL, IMPLICIT):
             _fail(f"unit {uid!r} has unknown kind {kind!r}")
         positions = entry.get("tokens", [])
-        if not isinstance(positions, list) or not all(
-            isinstance(p, int) and not isinstance(p, bool) for p in positions
-        ):
+        # Decoded JSON holds exact types, so this excludes bools too.
+        if not isinstance(positions, list) or not all(type(p) is int for p in positions):
             _fail(f"unit {uid!r}: 'tokens' must be a list of integers")
         units.append(UnitSpec(uid, kind, tuple(positions)))
 
     raw_edges = _field(doc, "edges", list, "document")
     edges = []
+    # Documents repeat a few label lists many times; check each once.
+    category_sets: dict[tuple, CategorySet] = {}
     for i, entry in enumerate(raw_edges):
         if not isinstance(entry, dict):
             _fail(f"edge {i} must be an object")
-        parent = _field(entry, "parent", str, f"edge {i}")
-        child = _field(entry, "child", str, f"edge {i}")
-        labels = _field(entry, "categories", list, f"edge {i}")
+        parent = _field(entry, "parent", str, "edge", i)
+        child = _field(entry, "child", str, "edge", i)
+        labels = _field(entry, "categories", list, "edge", i)
         remote = entry.get("remote", False)
         if not isinstance(remote, bool):
             _fail(f"edge {i}: 'remote' must be a boolean")
+        key = tuple(labels)
         try:
-            categories = CategorySet(labels)
-        except InvalidCategory as exc:
-            _fail(f"edge {i}: {exc}")
+            categories = category_sets[key]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            try:
+                categories = CategorySet(labels)
+            except InvalidCategory as exc:
+                _fail(f"edge {i}: {exc}")
+            # Only strings from the inventory get here, so key is hashable.
+            category_sets[key] = categories
         edges.append(EdgeSpec(parent, child, categories, remote))
 
     # Sorting primary edges by child id recreates each unit's child order

@@ -277,6 +277,20 @@ class TestValidate:
         assert code == 2
 
 
+class TestLoneSurrogateInterchange:
+    @pytest.mark.parametrize("command", ["validate", "convert", "parse"])
+    def test_exit_2_without_output(self, capsys, tmp_path, command):
+        source = tmp_path / "sur.ucca.json"
+        data = to_interchange(parse_passage(KICKED.read_text()))
+        source.write_bytes(data.replace(b'"John"', b'"Jo\\ud800hn"'))
+        extra = ["--out-dir", str(tmp_path / "out")] if command == "parse" else []
+        code, out, err = run(capsys, command, str(source), *extra)
+        assert (code, out) == (2, "")
+        assert err == f"{source}: not valid Unicode: a string holds a lone surrogate\n"
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("out/*"))
+
+
 class TestConvert:
     def test_text_to_json_default(self, capsys):
         code, out, err = run(capsys, "convert", str(KICKED))

@@ -15,10 +15,12 @@ from uccakit import (
     UnitSpec,
     UnknownUnit,
     build_passage,
+    from_interchange,
     is_scene_unit,
     isomorphic,
     parse_passage,
     stats,
+    to_interchange,
     yield_of,
 )
 
@@ -113,6 +115,39 @@ def test_primary_cycle_rejected():
     edges = [EdgeSpec("a", "b", "H"), EdgeSpec("b", "a", "H")]
     with pytest.raises(PrimaryCycle):
         build_passage([], units, edges)
+
+
+def test_unreachable_primary_cycle_rejected_without_remotes():
+    tokens = toks("a")
+    units = [
+        UnitSpec("r", "internal"),
+        UnitSpec("t", "terminal", (0,)),
+        UnitSpec("x", "internal"),
+        UnitSpec("y", "internal"),
+    ]
+    edges = [EdgeSpec("r", "t", "A"), EdgeSpec("x", "y", "H"), EdgeSpec("y", "x", "H")]
+    with pytest.raises(PrimaryCycle, match=r"\['x', 'y'\] are not reachable"):
+        build_passage(tokens, units, edges)
+
+
+def test_deep_chain_builds_in_preorder():
+    # Internal unit u<i> has children u<i+1> and terminal t<i>, so pre-order
+    # visits the whole internal chain first, then the terminals bottom-up.
+    depth = 3000
+    tokens = [Token(f"w{i}", i) for i in range(depth)]
+    units = [UnitSpec(f"u{i}", "internal") for i in range(depth)]
+    units += [UnitSpec(f"t{i}", "terminal", (i,)) for i in range(depth)]
+    edges = [EdgeSpec(f"u{i}", f"u{i + 1}", "A") for i in range(depth - 1)]
+    edges += [EdgeSpec(f"u{i}", f"t{i}", "C") for i in range(depth)]
+    p = build_passage(tokens, units[::-1], edges)
+    assert p.root == "0"
+    assert all(p.units[str(i)].kind == "internal" for i in range(depth))
+    assert all(
+        p.units[str(2 * depth - 1 - i)].tokens == frozenset({i}) for i in range(depth)
+    )
+    assert p.extents[p.root] == frozenset(range(depth))
+    data = to_interchange(p)
+    assert to_interchange(from_interchange(data)) == data
 
 
 def test_remote_cycle_rejected():

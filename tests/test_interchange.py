@@ -1,21 +1,30 @@
 import json
 
 import pytest
+from hypothesis import given
 
 from uccakit import (
     FILE_EXTENSION,
     FORMAT_VERSION,
+    EdgeSpec,
     MalformedDocument,
+    Token,
+    UccaError,
+    UnitSpec,
     UnsupportedVersion,
+    build_passage,
     canonical_json_bytes,
     from_interchange,
     isomorphic,
     parse_passage,
+    split_passages,
     to_interchange,
     validate,
 )
+from uccakit.core import id_key
 
-from conftest import CORPUS, corpus_ids
+from conftest import CORPUS, FIXTURES, corpus_ids
+from strategies import passages
 
 EXPECTED_SMALL = """\
 {
@@ -96,6 +105,95 @@ class TestCanonicalBytes:
     def test_extension_constant(self):
         assert FILE_EXTENSION == ".ucca.json"
         assert FORMAT_VERSION == "1"
+
+
+def oracle_bytes(passage):
+    """The document as a dict, serialized by `canonical_json_bytes`: the
+    reference the hand-laid-out writer must match byte for byte."""
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "id": passage.id,
+        "tokens": [{"text": t.text, "is_punct": t.is_punct} for t in passage.tokens],
+        "units": [
+            {"id": u.id, "kind": u.kind, "tokens": sorted(u.tokens)}
+            for u in sorted(passage.units.values(), key=lambda u: id_key(u.id))
+        ],
+        "edges": [
+            {
+                "parent": e.parent,
+                "child": e.child,
+                "categories": list(e.categories.labels),
+                "remote": e.remote,
+            }
+            for e in sorted(passage.edges(), key=lambda e: (id_key(e.parent), id_key(e.child)))
+        ],
+    }
+    return canonical_json_bytes(doc)
+
+
+def fixture_passages(path):
+    found = []
+    for i, chunk in enumerate(split_passages(path.read_text(encoding="utf-8"))):
+        try:
+            found.append(parse_passage(chunk, passage_id=f"{path.stem}.{i}", lenient_remotes=True))
+        except UccaError:
+            pass  # the edge fixtures include deliberately unparsable text
+    return found
+
+
+FIXTURE_FILES = [path for path in sorted(FIXTURES.rglob("*.txt")) if fixture_passages(path)]
+
+AWKWARD_TEXTS = [
+    'say "hi"',
+    "back\\slash",
+    "tab\there",
+    "nul\x00bell\x07esc\x1bdel\x7f",
+    "line\u2028para\u2029",
+    "café",
+    "日本語",
+    "\U0001f600",
+]
+
+
+class TestWriterMatchesOracle:
+    @pytest.mark.parametrize("path", FIXTURE_FILES, ids=lambda p: p.name)
+    def test_fixtures(self, path):
+        for p in fixture_passages(path):
+            assert to_interchange(p) == oracle_bytes(p)
+
+    def test_every_corpus_fixture_is_checked(self):
+        assert set(CORPUS) <= set(FIXTURE_FILES)
+
+    @given(passages())
+    def test_generated_passages(self, p):
+        assert to_interchange(p) == oracle_bytes(p)
+
+    def test_escaped_and_non_ascii_text(self):
+        tokens = [Token(text, i) for i, text in enumerate(AWKWARD_TEXTS)]
+        units = [UnitSpec("r", "internal")] + [
+            UnitSpec(f"t{i}", "terminal", (i,)) for i in range(len(tokens))
+        ]
+        edges = [EdgeSpec("r", f"t{i}", "A") for i in range(len(tokens))]
+        p = build_passage(tokens, units, edges, passage_id='id "\\" \u2028 é')
+        data = to_interchange(p)
+        assert data == oracle_bytes(p)
+        assert [t.text for t in from_interchange(data).tokens] == AWKWARD_TEXTS
+
+    def test_no_edges(self):
+        p = build_passage(
+            [Token("stray", 0)], [UnitSpec("r", "internal")], [], require_coverage=False
+        )
+        data = to_interchange(p)
+        assert data == oracle_bytes(p)
+        assert b'"edges": []' in data and b'"tokens": []' in data
+
+    def test_no_tokens(self):
+        p = build_passage(
+            [], [UnitSpec("r", "internal"), UnitSpec("i", "implicit")], [EdgeSpec("r", "i", "A")]
+        )
+        data = to_interchange(p)
+        assert data == oracle_bytes(p)
+        assert b'"tokens": []' in data and b'"edges": [' in data
 
 
 class TestRoundTrip:
@@ -219,3 +317,126 @@ class TestRejects:
         doc["edges"][1]["child"] = "9"
         with pytest.raises(BuildError):
             from_interchange(canonical_json_bytes(doc))
+
+
+_DELETE = object()
+
+
+def with_field(table, index, key, value=_DELETE):
+    """EXPECTED_SMALL plus a punctuation token, with one field deleted or
+    replaced; key None replaces the whole record."""
+    doc = json.loads(EXPECTED_SMALL)
+    doc["tokens"].append({"is_punct": True, "text": "."})
+    record = doc if table is None else doc[table]
+    if key is None:
+        record[index] = value
+        return canonical_json_bytes(doc)
+    if table is not None:
+        record = record[index]
+    if value is _DELETE:
+        del record[key]
+    else:
+        record[key] = value
+    return canonical_json_bytes(doc)
+
+
+NOT_INTEGERS = "unit '2': 'tokens' must be a list of integers"
+
+READER_FAILURES = [
+    (b"[1, 2]", "document must be a JSON object"),
+    (with_field(None, None, "format_version"), "document is missing a format_version string"),
+    (with_field(None, None, "format_version", 1), "document is missing a format_version string"),
+    (with_field(None, None, "id", 3), "'id' must be a string"),
+    (with_field(None, None, "tokens"), "document is missing 'tokens'"),
+    (with_field(None, None, "tokens", {}), "document: 'tokens' must be list"),
+    (with_field(None, None, "units"), "document is missing 'units'"),
+    (with_field(None, None, "units", "0"), "document: 'units' must be list"),
+    (with_field(None, None, "edges"), "document is missing 'edges'"),
+    (with_field(None, None, "edges", None), "document: 'edges' must be list"),
+    (with_field("tokens", 1, None, "."), "token 1 must be an object"),
+    (with_field("tokens", 1, "text"), "token 1 is missing 'text'"),
+    (with_field("tokens", 1, "text", 7), "token 1: 'text' must be str"),
+    (with_field("tokens", 1, "text", True), "token 1: 'text' must be str"),
+    (with_field("tokens", 1, "is_punct", "no"), "token 1: 'is_punct' must be a boolean"),
+    (with_field("tokens", 1, "is_punct", 0), "token 1: 'is_punct' must be a boolean"),
+    (with_field("units", 2, None, []), "unit 2 must be an object"),
+    (with_field("units", 2, "id"), "unit 2 is missing 'id'"),
+    (with_field("units", 2, "id", 2), "unit 2: 'id' must be str"),
+    (with_field("units", 2, "kind"), "unit 2 is missing 'kind'"),
+    (with_field("units", 2, "kind", ["terminal"]), "unit 2: 'kind' must be str"),
+    (with_field("units", 2, "kind", "leaf"), "unit '2' has unknown kind 'leaf'"),
+    (with_field("units", 2, "tokens", "0"), NOT_INTEGERS),
+    (with_field("units", 2, "tokens", [True]), NOT_INTEGERS),
+    (with_field("units", 2, "tokens", [0.0]), NOT_INTEGERS),
+    (with_field("edges", 1, None, 5), "edge 1 must be an object"),
+    (with_field("edges", 1, "parent"), "edge 1 is missing 'parent'"),
+    (with_field("edges", 1, "parent", 0), "edge 1: 'parent' must be str"),
+    (with_field("edges", 1, "child"), "edge 1 is missing 'child'"),
+    (with_field("edges", 1, "child", None), "edge 1: 'child' must be str"),
+    (with_field("edges", 1, "categories"), "edge 1 is missing 'categories'"),
+    (with_field("edges", 1, "categories", "A"), "edge 1: 'categories' must be list"),
+    (with_field("edges", 1, "categories", []), "edge 1: a category set must contain at least one label"),
+    (with_field("edges", 1, "categories", ["A", "ZZ"]), "edge 1: unknown category label 'ZZ'"),
+    (with_field("edges", 1, "categories", ["A", ["A"]]), "edge 1: unknown category label ['A']"),
+    (with_field("edges", 1, "categories", ["P", "S"]), "edge 1: P and S cannot appear on the same edge"),
+    (with_field("edges", 1, "remote", "yes"), "edge 1: 'remote' must be a boolean"),
+    (
+        EXPECTED_SMALL.replace('"apple"', '"\\ud800"').encode("utf-8"),
+        "not valid Unicode: a string holds a lone surrogate",
+    ),
+]
+
+
+class TestReaderMessages:
+    @pytest.mark.parametrize(
+        "data, message", [pytest.param(d, m, id=m) for d, m in READER_FAILURES]
+    )
+    def test_exact_message(self, data, message):
+        with pytest.raises(MalformedDocument) as info:
+            from_interchange(data)
+        assert str(info.value) == message
+
+    def test_optional_fields_default(self):
+        doc = json.loads(EXPECTED_SMALL)
+        del doc["tokens"][0]["is_punct"]
+        del doc["units"][0]["tokens"]
+        del doc["edges"][0]["remote"]
+        p = from_interchange(canonical_json_bytes(doc))
+        assert to_interchange(p).decode("utf-8") == EXPECTED_SMALL
+
+    def test_repeated_labels_checked_per_edge(self):
+        doc = json.loads(EXPECTED_SMALL)
+        doc["edges"][1]["categories"] = ["H"]
+        p = from_interchange(canonical_json_bytes(doc))
+        assert [e.categories.labels for e in p.edges()] == [("H",), ("H",)]
+        doc["edges"][0]["categories"] = doc["edges"][1]["categories"] = ["ZZ"]
+        with pytest.raises(MalformedDocument) as info:
+            from_interchange(canonical_json_bytes(doc))
+        assert str(info.value) == "edge 0: unknown category label 'ZZ'"
+
+
+class TestLoneSurrogates:
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\uDBFF", "\\udc00", "\\uDfFf"])
+    def test_escape_rejected(self, escape):
+        data = EXPECTED_SMALL.replace('"apple"', f'"ap{escape}ple"').encode("utf-8")
+        with pytest.raises(MalformedDocument, match="lone surrogate"):
+            from_interchange(data)
+
+    def test_escape_in_passage_id_rejected(self):
+        data = EXPECTED_SMALL.replace('"passage"', '"p\\ud800"').encode("utf-8")
+        with pytest.raises(MalformedDocument, match="lone surrogate"):
+            from_interchange(data)
+
+    def test_raw_surrogate_in_str_input_rejected(self):
+        with pytest.raises(MalformedDocument, match="lone surrogate"):
+            from_interchange(EXPECTED_SMALL.replace("apple", "ap\ud800ple"))
+
+    def test_surrogate_pair_accepted(self):
+        data = EXPECTED_SMALL.replace('"apple"', '"\\ud83d\\ude00"').encode("utf-8")
+        p = from_interchange(data)
+        assert p.tokens[0].text == "\U0001f600"
+        assert to_interchange(p) == EXPECTED_SMALL.replace("apple", "\U0001f600").encode("utf-8")
+
+    def test_escaped_backslash_is_plain_text(self):
+        data = EXPECTED_SMALL.replace('"apple"', '"\\\\ud800"').encode("utf-8")
+        assert from_interchange(data).tokens[0].text == "\\ud800"

@@ -131,7 +131,11 @@ def _flush(status: int, buffer: io.StringIO) -> int:
 
 def cmd_parse(args) -> int:
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            print(f"{args.out_dir}: {exc}", file=sys.stderr)
+            return FAILURE
     status = OK
     buffer = io.StringIO()
     written_by: dict[Path, str] = {}

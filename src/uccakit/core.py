@@ -255,7 +255,6 @@ def build_passage(
 
     outgoing: dict[str, list[EdgeSpec]] = {uid: [] for uid in specs}
     primary_in: dict[str, list[EdgeSpec]] = {uid: [] for uid in specs}
-    remote_in: dict[str, list[EdgeSpec]] = {uid: [] for uid in specs}
     seen_remote = set()
     for e in edge_list:
         outgoing[e.parent].append(e)
@@ -266,7 +265,6 @@ def build_passage(
             seen_remote.add(key)
             if e.parent == e.child:
                 raise InvalidRemote(f"remote edge from {e.parent!r} to itself")
-            remote_in[e.child].append(e)
         else:
             primary_in[e.child].append(e)
 
@@ -513,30 +511,35 @@ def stats(passage: Passage) -> CategoryCounts:
 def isomorphic(a: Passage, b: Passage) -> bool:
     """Structural equality up to unit ids and child bookkeeping order.
 
-    Token streams must match exactly.  Units are compared recursively by
-    kind, owned token positions, child edges (categories and structure)
-    and remote edges (categories and target extent).
+    Token streams must match exactly.  Units are compared by kind, owned
+    token positions, child edges (categories and structure) and remote
+    edges (categories and target extent).
     """
     if [(t.text, t.is_punct) for t in a.tokens] != [(t.text, t.is_punct) for t in b.tokens]:
         return False
-    return _signature(a, a.root) == _signature(b, b.root)
+    classes: dict[tuple, int] = {}
+    return _shape_class(a, classes) == _shape_class(b, classes)
 
 
-def _signature(passage: Passage, unit_id: str):
-    unit = passage.units[unit_id]
-    children = []
-    remotes = []
-    for e in unit.outgoing:
-        if e.remote:
-            remotes.append((e.categories.labels, tuple(sorted(passage.extents[e.child]))))
-        elif passage.units[e.child].kind == IMPLICIT:
-            children.append(((), e.categories.labels, "implicit"))
-        else:
-            child_min = min(passage.extents[e.child], default=-1)
-            children.append(((child_min,), e.categories.labels, _signature(passage, e.child)))
-    return (
-        unit.kind,
-        tuple(sorted(unit.tokens)),
-        tuple(sorted(children)),
-        tuple(sorted(remotes)),
-    )
+def _shape_class(passage: Passage, classes: dict[tuple, int]) -> int:
+    """The class number of the root's shape.
+
+    Units are visited bottom-up, in reverse of their pre-order ids, and a
+    unit's shape names each child by the child's class number, so equal
+    numbers mean equal subtrees at any depth.  `classes` numbers the
+    distinct shapes and is shared by the passages being compared.
+    """
+    number: dict[str, int] = {}
+    for unit in reversed(passage.units.values()):
+        children = []
+        remotes = []
+        for e in unit.outgoing:
+            if e.remote:
+                remotes.append((e.categories.labels, tuple(sorted(passage.extents[e.child]))))
+            else:
+                child_min = min(passage.extents[e.child], default=-1)
+                children.append((child_min, e.categories.labels, number[e.child]))
+        shape = (unit.kind, tuple(sorted(unit.tokens)), tuple(sorted(children)),
+                 tuple(sorted(remotes)))
+        number[unit.id] = classes.setdefault(shape, len(classes))
+    return number[passage.root]

@@ -127,6 +127,8 @@ def from_interchange(data: bytes | str) -> Passage:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
         _fail(f"not valid JSON: {exc}")
+    except RecursionError:
+        _fail("not valid JSON: nested too deeply")
     # A lone surrogate, raw in a str or decoded from a \uXXXX escape, fits
     # no UTF-8 output.  Canonical documents are raw UTF-8 and skip this.
     if source is data or "\\ud" in source or "\\uD" in source:

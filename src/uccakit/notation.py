@@ -48,7 +48,6 @@ LPAREN = "lparen"
 RPAREN = "rparen"
 LABEL = "label"
 WORD = "word"
-_EOF = "eof"
 
 _DELIMS = {"[": LBRACKET, "]": RBRACKET, "(": LPAREN, ")": RPAREN}
 
@@ -193,25 +192,17 @@ class _RawParen:
     start: int
 
 
-@dataclass
-class _RawGroup:
-    label: _Label
-    una: bool
-    words: list[NotationToken]
-    children: list["_RawGroup"]
-    parens: list[_RawParen]
-    start: int
-
-
 @dataclass(eq=False)
 class _Node:
-    cats: CategorySet
+    """One bracket group; after `_resolve`, one unit.  The root has no label."""
+
+    label: _Label | None
     una: bool
     words: list[NotationToken]
     children: list["_Node"]
     parens: list[_RawParen]
-    scope: dict = field(default_factory=dict)
     start: int = 0
+    scope: dict = field(default_factory=dict)
     kind: str = INTERNAL
     positions: tuple[int, ...] = ()
     parent: "_Node | None" = None
@@ -226,227 +217,217 @@ def _parse_label_token(tok: NotationToken) -> _Label:
     return _Label(cats, m.group(3), bool(m.group(4)), bool(m.group(1)), tok)
 
 
+def _is_token(item, kind: str) -> bool:
+    return type(item) is NotationToken and item.kind == kind
+
+
 def _label_hint(items) -> None:
     """Raise the most helpful error for a bracket with no usable label."""
     for pick in (items[0], items[-1]) if items else ():
-        if pick[0] == "tok" and pick[1].kind == WORD and _LABEL_SHAPE.match(pick[1].text):
+        if _is_token(pick, WORD) and _LABEL_SHAPE.match(pick.text):
             raise UnknownCategoryLabel(
-                f"{pick[1].text!r} is not a known category label",
-                position=pick[1].start,
+                f"{pick.text!r} is not a known category label", position=pick.start
             )
 
 
-class _Parser:
-    def __init__(self, source: str):
-        self.toks = lex(source)
-        self.toks.append(NotationToken(_EOF, "", len(source.encode("utf-8")), len(source.encode("utf-8"))))
-        self.i = 0
+def _parse_tree(source: str) -> _Node:
+    """The unlabeled root over the bracket groups of `source`, unresolved.
 
-    def peek(self) -> NotationToken:
-        return self.toks[self.i]
-
-    def take(self) -> NotationToken:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def parse_top(self):
-        groups: list[_RawGroup] = []
-        bare: list[NotationToken] = []
-        parens: list[_RawParen] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == _EOF:
-                break
-            if tok.kind == LBRACKET:
-                self.take()
-                groups.append(self.parse_group(tok))
-            elif tok.kind == LPAREN:
-                self.take()
-                parens.append(self.parse_paren(tok))
-            elif tok.kind == RBRACKET:
+    One pass over the tokens with a stack of open brackets; a group's
+    items are tokens, `_Node`s and `_RawParen`s in source order.
+    """
+    toks = iter(lex(source))
+    stack: list[tuple[NotationToken | None, list]] = [(None, [])]
+    for tok in toks:
+        if tok.kind == LBRACKET:
+            stack.append((tok, []))
+        elif tok.kind == RBRACKET:
+            if len(stack) == 1:
                 raise UnbalancedBrackets(
                     "']' without a matching '['", position=tok.start, found="']'"
                 )
-            elif tok.kind == RPAREN:
-                raise UnbalancedBrackets(
-                    "')' without a matching '('", position=tok.start, found="')'"
-                )
-            else:
-                self.take()
-                bare.append(tok)
-        return groups, bare, parens
-
-    def parse_group(self, open_tok: NotationToken) -> _RawGroup:
-        items: list[tuple[str, object]] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == _EOF:
-                raise UnbalancedBrackets(
-                    "bracket opened here is never closed",
-                    position=open_tok.start,
-                    expected="']'",
-                    found="end of input",
-                )
-            if tok.kind == RBRACKET:
-                self.take()
-                break
-            if tok.kind == LBRACKET:
-                self.take()
-                items.append(("group", self.parse_group(tok)))
-            elif tok.kind == LPAREN:
-                self.take()
-                items.append(("paren", self.parse_paren(tok)))
-            elif tok.kind == RPAREN:
-                raise UnbalancedBrackets(
-                    "')' without a matching '('", position=tok.start, found="')'"
-                )
-            else:
-                items.append(("tok", self.take()))
-        return self.finish_group(open_tok, items)
-
-    def finish_group(self, open_tok: NotationToken, items) -> _RawGroup:
-        parens: list[_RawParen] = []
-        while items and items[-1][0] == "paren":
-            parens.insert(0, items.pop()[1])
-        for kind, value in items:
-            if kind == "paren":
-                raise MisplacedRemote(
-                    "round-bracket group must come at the end of its unit",
-                    position=value.start,
-                )
-
-        def is_tok(item, kind=None):
-            return item[0] == "tok" and (kind is None or item[1].kind == kind)
-
-        def is_una(item):
-            return is_tok(item, LABEL) and item[1].text == UNA_MARKER
-
-        una = False
-        if items and is_una(items[-1]):
-            items.pop()
-            una = True
-        elif len(items) >= 2 and is_tok(items[-1], LABEL) and is_una(items[-2]):
-            items.pop(-2)
-            una = True
-
-        label_tok = None
-        if items and is_tok(items[0], LABEL):
-            label_tok = items.pop(0)[1]
-        elif items and is_tok(items[-1], LABEL):
-            label_tok = items.pop()[1]
+            group = _finish_group(*stack.pop())
+            stack[-1][1].append(group)
+        elif tok.kind == LPAREN:
+            stack[-1][1].append(_read_paren(tok, toks))
+        elif tok.kind == RPAREN:
+            raise UnbalancedBrackets(
+                "')' without a matching '('", position=tok.start, found="')'"
+            )
         else:
-            _label_hint(items)
-            raise ParseError(
-                "bracket group has no category label",
-                position=open_tok.start,
-                expected="a label just inside '[' or just before ']'",
-            )
-        label = _parse_label_token(label_tok)
-
-        words = [item[1] for item in items if item[0] == "tok"]
-        children = [item[1] for item in items if item[0] == "group"]
-        if not words and not children and not parens and not (label.open_dash or label.close_dash):
-            raise ParseError(
-                "category label without any text; write the label beside its text,"
-                " as in [A apple]",
-                position=label_tok.start,
-            )
-        return _RawGroup(label, una, words, children, parens, open_tok.start)
-
-    def parse_paren(self, open_tok: NotationToken) -> _RawParen:
-        toks: list[NotationToken] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == _EOF:
-                raise UnbalancedBrackets(
-                    "round bracket opened here is never closed",
-                    position=open_tok.start,
-                    expected="')'",
-                    found="end of input",
-                )
-            if tok.kind == RPAREN:
-                self.take()
-                break
-            if tok.kind in (LBRACKET, LPAREN):
-                raise ParseError(
-                    "remote and implicit groups hold a flat word sequence;"
-                    " nested brackets are not allowed here",
-                    position=tok.start,
-                    found=tok.text,
-                )
-            if tok.kind == RBRACKET:
-                raise UnbalancedBrackets(
-                    "']' inside a round-bracket group", position=tok.start, found="']'"
-                )
-            toks.append(self.take())
-        if len(toks) < 2:
-            raise ParseError(
-                "round-bracket group needs words and a category, as in (John A)",
-                position=open_tok.start,
-            )
-        if toks[-1].kind == LABEL:
-            label_tok = toks.pop()
-        elif toks[0].kind == LABEL:
-            label_tok = toks.pop(0)
-        else:
-            _label_hint([("tok", t) for t in toks])
-            raise ParseError(
-                "round-bracket group has no category label",
-                position=open_tok.start,
-                expected="a label first or last, as in (John A)",
-            )
-        label = _parse_label_token(label_tok)
-        if label.open_dash or label.close_dash or label.index:
-            raise ParseError(
-                "continuation marks are not allowed on remote or implicit units",
-                position=label_tok.start,
-            )
-        return _RawParen([t.text for t in toks], label.cats, open_tok.start)
+            stack[-1][1].append(tok)
+    if len(stack) > 1:
+        raise UnbalancedBrackets(
+            "bracket opened here is never closed",
+            position=stack[-1][0].start,
+            expected="']'",
+            found="end of input",
+        )
+    items = stack[0][1]
+    return _Node(
+        None,
+        False,
+        [t for t in items if type(t) is NotationToken],
+        [g for g in items if type(g) is _Node],
+        [p for p in items if type(p) is _RawParen],
+    )
 
 
-def _resolve(raw_children, scope, all_nodes):
-    out: list[_Node] = []
-    for g in raw_children:
-        lab = g.label
-        key = (lab.cats.labels, lab.index)
-        if lab.close_dash:
-            entry = scope.get(key)
-            if entry is None:
-                raise OrphanContinuation(
-                    f"continuation '-{lab.tok.text.lstrip('-')}' has no open fragment"
-                    " among its siblings",
-                    position=lab.tok.start,
-                )
-            entry[1] = True
-            node = entry[0]
-            node.una = node.una or g.una
-            node.words.extend(g.words)
-            node.children.extend(_resolve(g.children, node.scope, all_nodes))
-            node.parens.extend(g.parens)
-        else:
-            node = _Node(lab.cats, g.una, list(g.words), [], list(g.parens), start=g.start)
-            node.children = _resolve(g.children, node.scope, all_nodes)
-            all_nodes.append(node)
+def _finish_group(open_tok: NotationToken, items: list) -> _Node:
+    parens: list[_RawParen] = []
+    while items and type(items[-1]) is _RawParen:
+        parens.insert(0, items.pop())
+    for item in items:
+        if type(item) is _RawParen:
+            raise MisplacedRemote(
+                "round-bracket group must come at the end of its unit",
+                position=item.start,
+            )
+
+    def is_una(item):
+        return _is_token(item, LABEL) and item.text == UNA_MARKER
+
+    una = False
+    if items and is_una(items[-1]):
+        items.pop()
+        una = True
+    elif len(items) >= 2 and _is_token(items[-1], LABEL) and is_una(items[-2]):
+        items.pop(-2)
+        una = True
+
+    if items and _is_token(items[0], LABEL):
+        label_tok = items.pop(0)
+    elif items and _is_token(items[-1], LABEL):
+        label_tok = items.pop()
+    else:
+        _label_hint(items)
+        raise ParseError(
+            "bracket group has no category label",
+            position=open_tok.start,
+            expected="a label just inside '[' or just before ']'",
+        )
+    label = _parse_label_token(label_tok)
+
+    words = [item for item in items if type(item) is NotationToken]
+    children = [item for item in items if type(item) is _Node]
+    if not words and not children and not parens and not (label.open_dash or label.close_dash):
+        raise ParseError(
+            "category label without any text; write the label beside its text,"
+            " as in [A apple]",
+            position=label_tok.start,
+        )
+    return _Node(label, una, words, children, parens, open_tok.start)
+
+
+def _read_paren(open_tok: NotationToken, toks) -> _RawParen:
+    """The round-bracket group opened by `open_tok`, read on from `toks`."""
+    words: list[NotationToken] = []
+    for tok in toks:
+        if tok.kind == RPAREN:
+            break
+        if tok.kind in (LBRACKET, LPAREN):
+            raise ParseError(
+                "remote and implicit groups hold a flat word sequence;"
+                " nested brackets are not allowed here",
+                position=tok.start,
+                found=tok.text,
+            )
+        if tok.kind == RBRACKET:
+            raise UnbalancedBrackets(
+                "']' inside a round-bracket group", position=tok.start, found="']'"
+            )
+        words.append(tok)
+    else:
+        raise UnbalancedBrackets(
+            "round bracket opened here is never closed",
+            position=open_tok.start,
+            expected="')'",
+            found="end of input",
+        )
+    if len(words) < 2:
+        raise ParseError(
+            "round-bracket group needs words and a category, as in (John A)",
+            position=open_tok.start,
+        )
+    if words[-1].kind == LABEL:
+        label_tok = words.pop()
+    elif words[0].kind == LABEL:
+        label_tok = words.pop(0)
+    else:
+        _label_hint(words)
+        raise ParseError(
+            "round-bracket group has no category label",
+            position=open_tok.start,
+            expected="a label first or last, as in (John A)",
+        )
+    label = _parse_label_token(label_tok)
+    if label.open_dash or label.close_dash or label.index:
+        raise ParseError(
+            "continuation marks are not allowed on remote or implicit units",
+            position=label_tok.start,
+        )
+    return _RawParen([t.text for t in words], label.cats, open_tok.start)
+
+
+def _resolve(root: _Node) -> list[_Node]:
+    """Merge each continuation fragment into the fragment that opened it.
+
+    Walks the tree depth-first in source order and sets parent links.  A
+    fragment's dashed label opens its slot only once the fragment's own
+    children are resolved, and a continuation is looked up among the
+    children of its parent unit.  Returns the labeled units in the order
+    their first fragments close.
+    """
+    nodes: list[_Node] = []
+    unfinished: dict[_Node, int] = {}  # opened fragment -> label byte offset
+    stack = [(root, iter(root.children), False)]
+    root.children = []
+    while stack:
+        target, raw, is_new = stack[-1]
+        g = next(raw, None)
+        if g is None:
+            stack.pop()
+            if not is_new:
+                continue
+            nodes.append(target)
+            lab = target.label
             if lab.open_dash:
+                scope = target.parent.scope
+                key = (lab.cats.labels, lab.index)
                 if key in scope:
                     raise AmbiguousContinuation(
                         f"'{lab.tok.text}' opened while an earlier fragment with the"
                         " same label is still open; use digit indices such as A1- and A2-",
                         position=lab.tok.start,
                     )
-                scope[key] = [node, False, lab.tok.start]
-            out.append(node)
-    return out
-
-
-def _check_dangling(scopes) -> None:
-    dangling = [entry[2] for scope in scopes for entry in scope.values() if not entry[1]]
-    if dangling:
+                scope[key] = target
+                unfinished[target] = lab.tok.start
+            continue
+        lab = g.label
+        if lab.close_dash:
+            node = target.scope.get((lab.cats.labels, lab.index))
+            if node is None:
+                raise OrphanContinuation(
+                    f"continuation '-{lab.tok.text.lstrip('-')}' has no open fragment"
+                    " among its siblings",
+                    position=lab.tok.start,
+                )
+            unfinished.pop(node, None)
+            node.una = node.una or g.una
+            node.words.extend(g.words)
+            node.parens.extend(g.parens)
+            stack.append((node, iter(g.children), False))
+        else:
+            g.parent = target
+            target.children.append(g)
+            stack.append((g, iter(g.children), True))
+            g.children = []
+    if unfinished:
         raise DanglingContinuation(
             "fragment opened with a trailing dash is never continued",
-            position=min(dangling),
+            position=min(unfinished.values()),
         )
+    return nodes
 
 
 def _minimal_readers(readers, wanted, owner, parent):
@@ -491,41 +472,27 @@ def parse_passage(
     AmbiguousRemote while lenient mode warns through on_warning and picks
     the nearest preceding match.
     """
-    parser = _Parser(source)
-    top_groups, top_bare, top_parens = parser.parse_top()
-
-    all_nodes: list[_Node] = []
-    root_scope: dict = {}
-    top_nodes = _resolve(top_groups, root_scope, all_nodes)
-    _check_dangling([root_scope] + [n.scope for n in all_nodes])
-
-    root = _Node(None, False, list(top_bare), top_nodes, list(top_parens))
-    for node in all_nodes:
-        for child in node.children:
-            child.parent = node
-    for child in top_nodes:
-        child.parent = root
+    root = _parse_tree(source)
+    nodes = _resolve(root)
 
     word_toks = sorted(
-        [t for n in all_nodes for t in n.words] + top_bare, key=lambda t: t.start
+        [t for n in nodes for t in n.words] + root.words, key=lambda t: t.start
     )
     stream = [
         Token(t.text, pos, _is_punct_text(t.text)) for pos, t in enumerate(word_toks)
     ]
     position_of = {id(t): pos for pos, t in enumerate(word_toks)}
 
-    for node in all_nodes:
-        if node.children or node.parens:
-            node.kind = INTERNAL
-        else:
+    for node in nodes:
+        if not (node.children or node.parens):
             node.kind = TERMINAL
             node.positions = tuple(
-                position_of[id(t)] for t in node.words if not _is_punct_text(t.text)
+                pos
+                for pos in (position_of[id(t)] for t in node.words)
+                if not stream[pos].is_punct
             )
             if not node.positions:
-                raise ParseError(
-                    "unit covers no text", position=node.start
-                )
+                raise ParseError("unit covers no text", position=node.start)
 
     def resolve_remote(owner: _Node, paren: _RawParen) -> _Node:
         wanted = tuple(paren.words)
@@ -553,23 +520,23 @@ def parse_passage(
             return max(before, key=lambda n: min(extents[n]))
         return min(minimal, key=lambda n: min(extents[n]))
 
+    # One walk visits each node twice: on entry it takes the next id, and
+    # once its children are done it adds its implicit units and the edge
+    # from its parent.
     units: list[UnitSpec] = []
     edges: list[EdgeSpec] = []
     ids: dict[_Node, str] = {}
     remote_requests: list[tuple[_Node, _RawParen]] = []
-
-    def emit(node: _Node) -> str:
-        uid = f"t{len(units)}"
-        ids[node] = uid
-        units.append(
-            UnitSpec(uid, node.kind if node is not root else INTERNAL, node.positions)
-        )
-        for child in node.children:
-            cats = child.cats
-            if child.una and UNA_MARKER not in cats:
-                cats = CategorySet(list(cats) + [UNA_MARKER])
-            child_id = emit(child)
-            edges.append(EdgeSpec(uid, child_id, cats))
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node not in ids:
+            ids[node] = f"t{len(units)}"
+            units.append(UnitSpec(ids[node], node.kind, node.positions))
+            stack.append(node)
+            stack.extend(reversed(node.children))
+            continue
+        uid = ids[node]
         for paren in node.parens:
             if paren.words == [IMPLICIT_MARKER]:
                 imp_id = f"t{len(units)}"
@@ -577,9 +544,12 @@ def parse_passage(
                 edges.append(EdgeSpec(uid, imp_id, paren.cats))
             else:
                 remote_requests.append((node, paren))
-        return uid
+        if node.parent is not None:
+            cats = node.label.cats
+            if node.una and UNA_MARKER not in cats:
+                cats = CategorySet(list(cats) + [UNA_MARKER])
+            edges.append(EdgeSpec(ids[node.parent], uid, cats))
 
-    emit(root)
     if remote_requests:
         # ids holds the nodes in pre-order, so children come before
         # parents in reverse.

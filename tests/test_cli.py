@@ -25,6 +25,8 @@ R1_MUTANT = EDGE_DIR / "r1-mutant.txt"
 MULTI = EDGE_DIR / "multi.txt"
 UNBALANCED = EDGE_DIR / "unbalanced.txt"
 AMBIGUOUS = EDGE_DIR / "ambiguous-remote.txt"
+# 1,200 nested participants: deeper than the interpreter's recursion limit.
+DEEP_SOURCE = "[H [P ran] " + "[A " * 1200 + "x" + " ]" * 1201
 
 
 @pytest.fixture(autouse=True)
@@ -128,6 +130,16 @@ class TestParse:
         assert code == 0
         assert "picking the nearest preceding one" in err
         assert (tmp_path / "ambiguous-remote.ucca.json").exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_out_dir_blocked_by_file_exit_2(self, capsys, tmp_path, sub):
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        out_dir = str(blocker / sub) if sub else str(blocker)
+        code, out, err = run(capsys, "parse", str(KICKED), "--out-dir", out_dir)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{out_dir}: ")
+        assert len(err.splitlines()) == 1
 
     def test_crlf_file_splits_into_passages(self, capsys, tmp_path):
         source = tmp_path / "x.txt"
@@ -254,13 +266,21 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(source))
         assert (code, out) == (0, "")
 
-    def test_too_deep_nesting_exit_2(self, capsys, tmp_path):
+    def test_deep_nesting_validates(self, capsys, tmp_path):
         source = tmp_path / "deep.txt"
-        source.write_text("[H [P ran] " + "[A " * 1200 + "x" + " ]" * 1201, encoding="utf-8")
+        source.write_text(DEEP_SOURCE, encoding="utf-8")
         code, out, err = run(capsys, "validate", str(source))
+        assert (code, out, err) == (0, "", "")
+
+    def test_too_deeply_nested_json_exit_2(self, capsys, tmp_path):
+        paths = [tmp_path / "a.ucca.json", tmp_path / "b.ucca.json"]
+        for path in paths:
+            path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--keep-going", *map(str, paths))
         assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1
-        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"{path}: not valid JSON: nested too deeply" for path in paths
+        ]
 
     def test_validates_interchange_by_extension(self, capsys, tmp_path):
         target = tmp_path / "kicked.ucca.json"
@@ -292,6 +312,14 @@ class TestLoneSurrogateInterchange:
 
 
 class TestConvert:
+    def test_too_deep_to_render_exit_2(self, capsys, tmp_path):
+        source = tmp_path / "deep.ucca.json"
+        source.write_bytes(to_interchange(parse_passage(DEEP_SOURCE)))
+        code, out, err = run(capsys, "convert", str(source))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_text_to_json_default(self, capsys):
         code, out, err = run(capsys, "convert", str(KICKED))
         assert (code, err) == (0, "")

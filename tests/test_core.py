@@ -325,3 +325,14 @@ def test_isomorphic_distinguishes_tokens():
     p = parse_passage("[H [A John] [P slept] ]")
     q = parse_passage("[H [A Mary] [P slept] ]")
     assert not isomorphic(p, q)
+
+
+def deep_chain_source(depth, deep_label="A"):
+    # The innermost unit but one carries deep_label.
+    return "[H [P ran] " + "[A " * (depth - 2) + f"[{deep_label} [A x" + " ]" * (depth + 1)
+
+
+def test_isomorphic_at_any_depth():
+    p = parse_passage(deep_chain_source(5000))
+    assert isomorphic(p, parse_passage(deep_chain_source(5000)))
+    assert not isomorphic(p, parse_passage(deep_chain_source(5000, deep_label="E")))

@@ -244,6 +244,11 @@ class TestRejects:
         with pytest.raises(MalformedDocument, match="JSON"):
             from_interchange(b"{nope")
 
+    def test_too_deeply_nested_json(self):
+        with pytest.raises(MalformedDocument) as info:
+            from_interchange("[" * 100_000 + "]" * 100_000)
+        assert str(info.value) == "not valid JSON: nested too deeply"
+
     def test_non_object_document(self):
         with pytest.raises(MalformedDocument, match="object"):
             from_interchange(b"[1, 2]")

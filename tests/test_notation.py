@@ -20,6 +20,7 @@ from uccakit import (
     parse_passage,
     render,
     split_passages,
+    validate,
     yield_of,
 )
 
@@ -195,6 +196,14 @@ class TestNonContiguity:
             parse_passage("[H [A- w1] [A- w2] [-A w4] [-A w5] ]")
         assert "indices" in str(err.value)
 
+    def test_orphan_found_before_later_ambiguity(self):
+        # Continuations are resolved depth-first: the orphan inside the
+        # second A- fragment comes before that fragment's label clashes
+        # with the still-open first one.
+        with pytest.raises(OrphanContinuation) as err:
+            parse_passage("[H [A- x] [A- [-C y]] ]")
+        assert err.value.position == 15
+
     def test_continuations_are_sibling_scoped(self):
         # A fragment opened under one parent cannot be continued inside
         # a nested bracket; the dash only pairs with siblings.
@@ -244,6 +253,15 @@ class TestParens:
         with pytest.raises(UnresolvedRemote):
             parse_passage("[H [A John] [P slept] (Mary A) ]")
 
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_first_remote_in_source_reported(self, lenient):
+        # Neither remote resolves; the one that comes first in the source,
+        # inside the nested unit, is the one reported.
+        with pytest.raises(UnresolvedRemote) as err:
+            parse_passage("[H [A x y (x D)] [P ran] (john A)]", lenient_remotes=lenient)
+        assert err.value.position == 10
+        assert str(err.value) == "byte 10: no unit reads 'x'"
+
     def test_ambiguous_remote_strict_and_lenient(self):
         source = (EDGE_DIR / "ambiguous-remote.txt").read_text()
         with pytest.raises(AmbiguousRemote):
@@ -276,6 +294,19 @@ class TestParens:
     def test_nested_brackets_inside_parens_rejected(self):
         with pytest.raises(ParseError):
             parse_passage("[H [A John] [P slept] ([A Mary] A) ]")
+
+
+class TestDeepNesting:
+    def test_any_depth_parses_in_preorder(self):
+        depth = 5000
+        p = parse_passage("[H [P ran] " + "[A " * depth + "x" + " ]" * (depth + 1))
+        assert len(p.units) == depth + 3
+        assert p.units["2"].tokens == frozenset({0})
+        for i in range(3, depth + 2):
+            (edge,) = p.units[str(i)].outgoing
+            assert (edge.child, edge.categories.labels) == (str(i + 1), ("A",))
+        assert p.units[str(depth + 2)].tokens == frozenset({1})
+        assert validate(p) == []
 
 
 class TestUnanalyzable:

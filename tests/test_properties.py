@@ -131,3 +131,52 @@ def test_category_notation_round_trip(text, rng):
     shuffled = list(cats.labels)
     rng.shuffle(shuffled)
     assert CategorySet(shuffled) == cats
+
+
+def reference_signature(passage, unit_id):
+    """The recursive shape `isomorphic` compared before it became
+    iterative, kept as the oracle for the iterative version."""
+    unit = passage.units[unit_id]
+    children = []
+    remotes = []
+    for e in unit.outgoing:
+        if e.remote:
+            remotes.append((e.categories.labels, tuple(sorted(passage.extents[e.child]))))
+        elif passage.units[e.child].kind == "implicit":
+            children.append(((), e.categories.labels, "implicit"))
+        else:
+            child_min = min(passage.extents[e.child], default=-1)
+            children.append(
+                ((child_min,), e.categories.labels, reference_signature(passage, e.child))
+            )
+    return (
+        unit.kind,
+        tuple(sorted(unit.tokens)),
+        tuple(sorted(children)),
+        tuple(sorted(remotes)),
+    )
+
+
+def reference_isomorphic(a, b):
+    if [(t.text, t.is_punct) for t in a.tokens] != [(t.text, t.is_punct) for t in b.tokens]:
+        return False
+    return reference_signature(a, a.root) == reference_signature(b, b.root)
+
+
+@given(passages(), passages(), st.randoms())
+def test_isomorphic_matches_recursive_reference(p, other, rng):
+    units = [UnitSpec(u.id, u.kind, tuple(sorted(u.tokens))) for u in p.units.values()]
+    edges = [EdgeSpec(e.parent, e.child, e.categories, e.remote) for e in p.edges()]
+    rng.shuffle(units)
+    rng.shuffle(edges)
+    shuffled = build_passage(p.tokens, units, edges)
+    candidates = [other, shuffled]
+    if edges:
+        k = rng.randrange(len(edges))
+        e = edges[k]
+        label = rng.choice([l for l in PLAIN_LABELS if (l,) != e.categories.labels])
+        edges[k] = EdgeSpec(e.parent, e.child, label, e.remote)
+        candidates.append(build_passage(p.tokens, units, edges))
+    for q in candidates:
+        assert isomorphic(p, q) == reference_isomorphic(p, q)
+        assert isomorphic(q, p) == reference_isomorphic(q, p)

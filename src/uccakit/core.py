@@ -17,7 +17,7 @@ diagnostics.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -85,7 +85,47 @@ class NotInternal(UccaError):
     """An operation that needs an internal unit got a terminal or implicit one."""
 
 
-@dataclass(frozen=True)
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def value_type(cls):
+    """Make `cls` a frozen dataclass with slots and a cheaper `__init__`.
+
+    The `__init__` that `dataclass(frozen=True)` would write sets each
+    field through `object.__setattr__`; this one calls each slot's member
+    descriptor instead, which takes about half the time.  Equality, hash
+    and repr are the dataclass's own.  Setting or deleting any attribute
+    raises `FrozenInstanceError`; the dataclass's own `__setattr__` and
+    `__delattr__` raise `TypeError` instead for a name that is not a field
+    once slots have replaced the class (CPython 3.10 to 3.13).
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    namespace = {}
+    params = []
+    body = []
+    for f in fields(cls):
+        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"    _set_{f.name}(self, {f.name})\n")
+    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@value_type
 class Token:
     """One surface token.  Position is the 0-based index in the passage."""
 
@@ -94,7 +134,7 @@ class Token:
     is_punct: bool = False
 
 
-@dataclass(frozen=True)
+@value_type
 class Edge:
     """A labeled parent-child connection.
 
@@ -109,7 +149,7 @@ class Edge:
     remote: bool = False
 
 
-@dataclass(frozen=True)
+@value_type
 class Unit:
     """One annotation unit.
 
@@ -125,7 +165,7 @@ class Unit:
     outgoing: tuple[Edge, ...] = ()
 
 
-@dataclass(frozen=True)
+@value_type
 class UnitSpec:
     """Input description of a unit for `build_passage`."""
 
@@ -134,7 +174,7 @@ class UnitSpec:
     tokens: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@value_type
 class EdgeSpec:
     """Input description of an edge for `build_passage`.
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .categories import CategorySet, InvalidCategory, ALL_LABELS
@@ -35,11 +36,13 @@ from .core import (
     IMPLICIT,
     INTERNAL,
     Passage,
+    RemoteCycle,
     TERMINAL,
     Token,
     UccaError,
     UnitSpec,
     build_passage,
+    value_type,
 )
 
 LBRACKET = "lbracket"
@@ -50,6 +53,10 @@ LABEL = "label"
 WORD = "word"
 
 _DELIMS = {"[": LBRACKET, "]": RBRACKET, "(": LPAREN, ")": RPAREN}
+# A delimiter, or a run of anything else up to whitespace.  On str
+# patterns `\s` matches exactly the characters for which str.isspace()
+# is true.
+_TOKEN = re.compile(r"[\[\]()]|[^\s\[\]()]+")
 
 _LABEL_SHAPE = re.compile(r"^(-)?([A-Z]+(?:\+[A-Z]+)*)(\d+)?(-)?$")
 
@@ -115,7 +122,7 @@ class RenderError(UccaError):
     """A passage that the bracket notation cannot express."""
 
 
-@dataclass(frozen=True)
+@value_type
 class NotationToken:
     """One lexer token with its byte span in the source."""
 
@@ -146,29 +153,23 @@ def lex(source: str) -> list[NotationToken]:
     acts as a label is decided by its position during parsing.
     """
     out: list[NotationToken] = []
-    offset = 0
-    word_chars: list[str] = []
-    word_start = 0
-
-    def flush(end: int) -> None:
-        if word_chars:
-            text = "".join(word_chars)
-            out.append(NotationToken(_classify(text), text, word_start, end))
-            word_chars.clear()
-
-    for ch in source:
-        width = len(ch.encode("utf-8"))
-        if ch in _DELIMS:
-            flush(offset)
-            out.append(NotationToken(_DELIMS[ch], ch, offset, offset + width))
-        elif ch.isspace():
-            flush(offset)
+    kinds = dict(_DELIMS)  # token text -> kind, for this source only
+    ascii_only = source.isascii()
+    # Byte offset `byte_at` of character offset `char_at`, both at the end
+    # of the previous token; UTF-8 widths are only counted past ASCII.
+    char_at = byte_at = 0
+    for m in _TOKEN.finditer(source):
+        text = m.group()
+        if ascii_only:
+            start, end = m.span()
         else:
-            if not word_chars:
-                word_start = offset
-            word_chars.append(ch)
-        offset += width
-    flush(offset)
+            start = byte_at + len(source[char_at:m.start()].encode("utf-8"))
+            end = start + len(text.encode("utf-8"))
+            char_at, byte_at = m.end(), end
+        kind = kinds.get(text)
+        if kind is None:
+            kind = kinds[text] = _classify(text)
+        out.append(NotationToken(kind, text, start, end))
     return out
 
 
@@ -176,7 +177,7 @@ def _is_punct_text(text: str) -> bool:
     return all(unicodedata.category(ch).startswith("P") for ch in text)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Label:
     cats: CategorySet
     index: str | None
@@ -185,16 +186,20 @@ class _Label:
     tok: NotationToken
 
 
-@dataclass
+@dataclass(slots=True)
 class _RawParen:
     words: list[str]
     cats: CategorySet
     start: int
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Node:
-    """One bracket group; after `_resolve`, one unit.  The root has no label."""
+    """One bracket group; after `_resolve`, one unit.  The root has no label.
+
+    Nodes link only downwards, so a parse tree holds no reference cycle
+    and is freed as soon as the parse is done with it.
+    """
 
     label: _Label | None
     una: bool
@@ -205,16 +210,20 @@ class _Node:
     scope: dict = field(default_factory=dict)
     kind: str = INTERNAL
     positions: tuple[int, ...] = ()
-    parent: "_Node | None" = None
 
 
-def _parse_label_token(tok: NotationToken) -> _Label:
-    m = _LABEL_SHAPE.match(tok.text)
-    try:
-        cats = CategorySet.from_notation(m.group(2))
-    except InvalidCategory as exc:
-        raise ParseError(str(exc), position=tok.start) from None
-    return _Label(cats, m.group(3), bool(m.group(4)), bool(m.group(1)), tok)
+def _parse_label_token(tok: NotationToken, labels: dict) -> _Label:
+    """The label `tok` spells.  `labels` memoises label text -> (categories,
+    index, open dash, close dash) over one parse."""
+    parsed = labels.get(tok.text)
+    if parsed is None:
+        m = _LABEL_SHAPE.match(tok.text)
+        try:
+            cats = CategorySet.from_notation(m.group(2))
+        except InvalidCategory as exc:
+            raise ParseError(str(exc), position=tok.start) from None
+        parsed = labels[tok.text] = (cats, m.group(3), bool(m.group(4)), bool(m.group(1)))
+    return _Label(*parsed, tok)
 
 
 def _is_token(item, kind: str) -> bool:
@@ -237,6 +246,7 @@ def _parse_tree(source: str) -> _Node:
     items are tokens, `_Node`s and `_RawParen`s in source order.
     """
     toks = iter(lex(source))
+    labels: dict = {}
     stack: list[tuple[NotationToken | None, list]] = [(None, [])]
     for tok in toks:
         if tok.kind == LBRACKET:
@@ -246,10 +256,10 @@ def _parse_tree(source: str) -> _Node:
                 raise UnbalancedBrackets(
                     "']' without a matching '['", position=tok.start, found="']'"
                 )
-            group = _finish_group(*stack.pop())
+            group = _finish_group(*stack.pop(), labels)
             stack[-1][1].append(group)
         elif tok.kind == LPAREN:
-            stack[-1][1].append(_read_paren(tok, toks))
+            stack[-1][1].append(_read_paren(tok, toks, labels))
         elif tok.kind == RPAREN:
             raise UnbalancedBrackets(
                 "')' without a matching '('", position=tok.start, found="')'"
@@ -273,7 +283,7 @@ def _parse_tree(source: str) -> _Node:
     )
 
 
-def _finish_group(open_tok: NotationToken, items: list) -> _Node:
+def _finish_group(open_tok: NotationToken, items: list, labels: dict) -> _Node:
     parens: list[_RawParen] = []
     while items and type(items[-1]) is _RawParen:
         parens.insert(0, items.pop())
@@ -306,7 +316,7 @@ def _finish_group(open_tok: NotationToken, items: list) -> _Node:
             position=open_tok.start,
             expected="a label just inside '[' or just before ']'",
         )
-    label = _parse_label_token(label_tok)
+    label = _parse_label_token(label_tok, labels)
 
     words = [item for item in items if type(item) is NotationToken]
     children = [item for item in items if type(item) is _Node]
@@ -319,7 +329,7 @@ def _finish_group(open_tok: NotationToken, items: list) -> _Node:
     return _Node(label, una, words, children, parens, open_tok.start)
 
 
-def _read_paren(open_tok: NotationToken, toks) -> _RawParen:
+def _read_paren(open_tok: NotationToken, toks, labels: dict) -> _RawParen:
     """The round-bracket group opened by `open_tok`, read on from `toks`."""
     words: list[NotationToken] = []
     for tok in toks:
@@ -360,7 +370,7 @@ def _read_paren(open_tok: NotationToken, toks) -> _RawParen:
             position=open_tok.start,
             expected="a label first or last, as in (John A)",
         )
-    label = _parse_label_token(label_tok)
+    label = _parse_label_token(label_tok, labels)
     if label.open_dash or label.close_dash or label.index:
         raise ParseError(
             "continuation marks are not allowed on remote or implicit units",
@@ -369,16 +379,17 @@ def _read_paren(open_tok: NotationToken, toks) -> _RawParen:
     return _RawParen([t.text for t in words], label.cats, open_tok.start)
 
 
-def _resolve(root: _Node) -> list[_Node]:
+def _resolve(root: _Node) -> tuple[list[_Node], dict[_Node, _Node]]:
     """Merge each continuation fragment into the fragment that opened it.
 
-    Walks the tree depth-first in source order and sets parent links.  A
-    fragment's dashed label opens its slot only once the fragment's own
-    children are resolved, and a continuation is looked up among the
-    children of its parent unit.  Returns the labeled units in the order
-    their first fragments close.
+    Walks the tree depth-first in source order.  A fragment's dashed label
+    opens its slot only once the fragment's own children are resolved,
+    and a continuation is looked up among the children of its parent
+    unit.  Returns the labeled units in the order their first fragments
+    close, and each one's parent unit.
     """
     nodes: list[_Node] = []
+    parent: dict[_Node, _Node] = {}
     unfinished: dict[_Node, int] = {}  # opened fragment -> label byte offset
     stack = [(root, iter(root.children), False)]
     root.children = []
@@ -392,7 +403,7 @@ def _resolve(root: _Node) -> list[_Node]:
             nodes.append(target)
             lab = target.label
             if lab.open_dash:
-                scope = target.parent.scope
+                scope = parent[target].scope
                 key = (lab.cats.labels, lab.index)
                 if key in scope:
                     raise AmbiguousContinuation(
@@ -418,7 +429,7 @@ def _resolve(root: _Node) -> list[_Node]:
             node.parens.extend(g.parens)
             stack.append((node, iter(g.children), False))
         else:
-            g.parent = target
+            parent[g] = target
             target.children.append(g)
             stack.append((g, iter(g.children), True))
             g.children = []
@@ -427,7 +438,7 @@ def _resolve(root: _Node) -> list[_Node]:
             "fragment opened with a trailing dash is never continued",
             position=min(unfinished.values()),
         )
-    return nodes
+    return nodes, parent
 
 
 def _minimal_readers(readers, wanted, owner, parent):
@@ -473,14 +484,13 @@ def parse_passage(
     the nearest preceding match.
     """
     root = _parse_tree(source)
-    nodes = _resolve(root)
+    nodes, parent = _resolve(root)
 
     word_toks = sorted(
         [t for n in nodes for t in n.words] + root.words, key=lambda t: t.start
     )
-    stream = [
-        Token(t.text, pos, _is_punct_text(t.text)) for pos, t in enumerate(word_toks)
-    ]
+    punct = {text: _is_punct_text(text) for text in {t.text for t in word_toks}}
+    stream = [Token(t.text, pos, punct[t.text]) for pos, t in enumerate(word_toks)]
     position_of = {id(t): pos for pos, t in enumerate(word_toks)}
 
     for node in nodes:
@@ -496,7 +506,7 @@ def parse_passage(
 
     def resolve_remote(owner: _Node, paren: _RawParen) -> _Node:
         wanted = tuple(paren.words)
-        minimal = _minimal_readers(readers, wanted, owner, lambda n: n.parent)
+        minimal = _minimal_readers(readers, wanted, owner, parent.get)
         if not minimal:
             raise UnresolvedRemote(
                 f"no unit reads {' '.join(wanted)!r}", position=paren.start
@@ -509,7 +519,7 @@ def parse_passage(
                 " or use lenient mode",
                 position=paren.start,
             )
-        ref = sum(1 for t in word_toks if t.start < paren.start)
+        ref = bisect_left(word_starts, paren.start)
         if on_warning is not None:
             on_warning(
                 f"byte {paren.start}: {len(minimal)} units read {' '.join(wanted)!r};"
@@ -544,11 +554,11 @@ def parse_passage(
                 edges.append(EdgeSpec(uid, imp_id, paren.cats))
             else:
                 remote_requests.append((node, paren))
-        if node.parent is not None:
+        if node is not root:
             cats = node.label.cats
             if node.una and UNA_MARKER not in cats:
                 cats = CategorySet(list(cats) + [UNA_MARKER])
-            edges.append(EdgeSpec(ids[node.parent], uid, cats))
+            edges.append(EdgeSpec(ids[parent[node]], uid, cats))
 
     if remote_requests:
         # ids holds the nodes in pre-order, so children come before
@@ -560,14 +570,51 @@ def parse_passage(
         for node in ids:
             text = tuple(stream[pos].text for pos in sorted(extents[node]))
             readers.setdefault(text, []).append(node)
+        word_starts = [t.start for t in word_toks]
 
+    remotes: dict[tuple[_Node, _Node], _RawParen] = {}
     for owner, paren in remote_requests:
         target = resolve_remote(owner, paren)
+        if (owner, target) in remotes:
+            raise ParseError(
+                f"a second remote group in one unit reads {' '.join(paren.words)!r}",
+                position=paren.start,
+            )
+        remotes[owner, target] = paren
         edges.append(EdgeSpec(ids[owner], ids[target], paren.cats, remote=True))
 
-    return build_passage(
-        stream, units, edges, passage_id=passage_id, require_coverage=False
-    )
+    try:
+        return build_passage(
+            stream, units, edges, passage_id=passage_id, require_coverage=False
+        )
+    except RemoteCycle:
+        paren = _cycle_closer(remotes)
+        raise ParseError(
+            f"the remote group reading {' '.join(paren.words)!r} closes a cycle of edges",
+            position=paren.start,
+        ) from None
+
+
+def _cycle_closer(remotes: dict[tuple[_Node, _Node], _RawParen]) -> _RawParen:
+    """The first remote group, in source order, whose edge closes a cycle
+    with the primary edges and the remote edges of the groups before it.
+
+    `remotes` maps (owner, target) to the group, in source order, and its
+    edges must form a cycle, or there is no such group.
+    """
+    targets: dict[_Node, list[_Node]] = {}
+    for (owner, target), paren in remotes.items():
+        seen = set()
+        stack = [target]
+        while stack:
+            node = stack.pop()
+            if node is owner:
+                return paren
+            if node not in seen:
+                seen.add(node)
+                stack.extend(node.children)
+                stack.extend(targets.get(node, ()))
+        targets.setdefault(owner, []).append(target)
 
 
 def split_passages(text: str) -> list[str]:

@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,8 @@ from uccakit import (
 from uccakit.cli import entry_point, main
 
 from conftest import CORPUS_DIR, EDGE_DIR
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 KICKED = CORPUS_DIR / "01-kicked-ball.txt"
 SHOWER = CORPUS_DIR / "03-shower-remote.txt"
@@ -535,3 +540,18 @@ class TestUsage:
 
     def test_console_script_installed(self):
         assert shutil.which("uccakit") is not None
+
+    @pytest.mark.parametrize("module", ["uccakit", "uccakit.cli"])
+    def test_runs_as_module(self, tmp_path, module):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-m", module, "parse", str(KICKED), "--out-dir", str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        written = tmp_path / "01-kicked-ball.ucca.json"
+        expected = parse_passage(KICKED.read_text(), passage_id="01-kicked-ball")
+        assert written.read_bytes() == to_interchange(expected)

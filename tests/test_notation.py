@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from uccakit import (
@@ -141,6 +143,18 @@ class TestParseBasics:
             parse_passage(source)
         assert err.value.position == 0
 
+    def test_parsing_leaves_no_reference_cycles(self):
+        # Reference counting alone frees a parse tree and its passage.
+        source = "[H [A John] [P- took] [A [F a] [C shower] ] [-P up] (IMP D)] [H [P left] (John A)]"
+        gc.collect()
+        gc.disable()
+        try:
+            for lenient in (False, True):
+                parse_passage(source, lenient_remotes=lenient)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_errors_carry_byte_offsets(self):
         source = "café [Z x]"
         with pytest.raises(UnknownCategoryLabel) as err:
@@ -272,6 +286,51 @@ class TestParens:
         (remote,) = [e for e in p.edges() if e.remote]
         # nearest preceding "John" is the second one
         assert yield_of(p, remote.child) == frozenset({4})
+
+    def test_many_ambiguous_remotes_lenient(self):
+        # All eight scenes have a "john" and re-attach "john": each picks
+        # the nearest preceding one, and the first, with none before it,
+        # the nearest following one.
+        verbs = ["ran", "sat", "ate", "hid", "won", "met", "saw", "cry"]
+        source = " ".join(f"[H [A john] [P {v}] (john A)]" for v in verbs)
+        warnings = []
+        p = parse_passage(source, lenient_remotes=True, on_warning=warnings.append)
+        remotes = [
+            (min(p.extents[e.parent]), min(p.extents[e.child])) for e in p.edges() if e.remote
+        ]
+        assert remotes == [
+            (0, 2), (2, 0), (4, 2), (6, 4), (8, 6), (10, 8), (12, 10), (14, 12)
+        ]
+        assert warnings == [
+            f"byte {20 + 30 * i}: 7 units read 'john'; picking the nearest preceding one"
+            for i in range(8)
+        ]
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_repeated_remote_group(self, lenient):
+        for source in ("[H [A x] [P y (x A) (x A)]]", "[H [A x] [P y (x A) (x D)]]"):
+            with pytest.raises(ParseError) as err:
+                parse_passage(source, lenient_remotes=lenient)
+            assert type(err.value) is ParseError
+            assert str(err.value) == "byte 20: a second remote group in one unit reads 'x'"
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_remote_cycle(self, lenient):
+        # Each scene re-attaches the other: the second group closes the cycle.
+        source = "[H [P [C a] [E b] (c d A)] [S [C c] [E d] (a b A)]]"
+        with pytest.raises(ParseError) as err:
+            parse_passage(source, lenient_remotes=lenient)
+        assert type(err.value) is ParseError
+        assert str(err.value) == "byte 42: the remote group reading 'a b' closes a cycle of edges"
+
+    def test_remote_cycle_through_a_primary_edge(self):
+        # The first scene's participant re-attaches the second scene, whose
+        # participant re-attaches the first scene's participant.
+        p = parse_passage("[H [A [P x] [A y] (z w A)]] [H [P z] [A [C w]]]")
+        assert sum(e.remote for e in p.edges()) == 1
+        with pytest.raises(ParseError) as err:
+            parse_passage("[H [A [P x] [A y] (z w A)]] [H [P z] [A [C w] (x y A)]]")
+        assert str(err.value) == "byte 46: the remote group reading 'x y' closes a cycle of edges"
 
     def test_remote_group_must_trail(self):
         with pytest.raises(MisplacedRemote):

@@ -1,140 +1,48 @@
 """Foundational-layer semantic graphs: parsing, validation, interchange,
-scoring and statistics."""
+scoring and statistics.
 
-from .categories import (
-    BASE_LABELS,
-    DESCRIPTIONS,
-    SECONDARY_LABELS,
-    CategorySet,
-    InvalidCategory,
-)
-from .core import (
-    IMPLICIT,
-    INTERNAL,
-    TERMINAL,
-    BuildError,
-    CategoryCounts,
-    DanglingEdge,
-    DuplicateId,
-    Edge,
-    EdgeSpec,
-    InvalidRemote,
-    InvalidToken,
-    InvalidUnit,
-    MultiplePrimaryParents,
-    MultipleRoots,
-    NotInternal,
-    Passage,
-    PrimaryCycle,
-    RemoteCycle,
-    Token,
-    TokenCoverageGap,
-    UccaError,
-    Unit,
-    UnitSpec,
-    UnknownUnit,
-    build_passage,
-    is_scene_unit,
-    isomorphic,
-    stats,
-    yield_of,
-)
-from .interchange import (
-    FILE_EXTENSION,
-    FORMAT_VERSION,
-    MalformedDocument,
-    UnsupportedVersion,
-    canonical_json_bytes,
-    from_interchange,
-    to_interchange,
-)
-from .notation import (
-    AmbiguousContinuation,
-    AmbiguousRemote,
-    DanglingContinuation,
-    MisplacedRemote,
-    OrphanContinuation,
-    ParseError,
-    RenderError,
-    UnbalancedBrackets,
-    UnknownCategoryLabel,
-    UnresolvedRemote,
-    lex,
-    parse_passage,
-    render,
-    split_passages,
-)
-from .scoring import ClassScores, EdgeSignature, ScoreReport, TokenMismatch, score, signatures
-from .validation import Diagnostic, RuleInfo, list_rules, load_config, parse_config, validate
+The public names below are imported from their submodules on first use
+(PEP 562), so `import uccakit` on its own loads no submodule.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASE_LABELS",
-    "DESCRIPTIONS",
-    "SECONDARY_LABELS",
-    "CategorySet",
-    "InvalidCategory",
-    "IMPLICIT",
-    "INTERNAL",
-    "TERMINAL",
-    "BuildError",
-    "CategoryCounts",
-    "DanglingEdge",
-    "DuplicateId",
-    "Edge",
-    "EdgeSpec",
-    "InvalidRemote",
-    "InvalidToken",
-    "InvalidUnit",
-    "MultiplePrimaryParents",
-    "MultipleRoots",
-    "NotInternal",
-    "Passage",
-    "PrimaryCycle",
-    "RemoteCycle",
-    "Token",
-    "TokenCoverageGap",
-    "UccaError",
-    "Unit",
-    "UnitSpec",
-    "UnknownUnit",
-    "build_passage",
-    "is_scene_unit",
-    "isomorphic",
-    "stats",
-    "yield_of",
-    "FILE_EXTENSION",
-    "FORMAT_VERSION",
-    "MalformedDocument",
-    "UnsupportedVersion",
-    "canonical_json_bytes",
-    "from_interchange",
-    "to_interchange",
-    "AmbiguousContinuation",
-    "AmbiguousRemote",
-    "DanglingContinuation",
-    "MisplacedRemote",
-    "OrphanContinuation",
-    "ParseError",
-    "RenderError",
-    "UnbalancedBrackets",
-    "UnknownCategoryLabel",
-    "UnresolvedRemote",
-    "lex",
-    "parse_passage",
-    "render",
-    "split_passages",
-    "ClassScores",
-    "EdgeSignature",
-    "ScoreReport",
-    "TokenMismatch",
-    "score",
-    "signatures",
-    "Diagnostic",
-    "RuleInfo",
-    "list_rules",
-    "load_config",
-    "parse_config",
-    "validate",
-]
+# Public name -> the submodule that defines it.
+_HOME = {
+    name: module
+    for module, names in (
+        ("categories", "BASE_LABELS DESCRIPTIONS SECONDARY_LABELS CategorySet InvalidCategory"),
+        ("core", "IMPLICIT INTERNAL TERMINAL FILE_EXTENSION BuildError CategoryCounts"
+                 " DanglingEdge DuplicateId Edge EdgeSpec InvalidRemote InvalidToken InvalidUnit"
+                 " MultiplePrimaryParents MultipleRoots NotInternal Passage PrimaryCycle"
+                 " RemoteCycle Token TokenCoverageGap UccaError Unit UnitSpec UnknownUnit"
+                 " build_passage is_scene_unit isomorphic stats yield_of"),
+        ("interchange", "FORMAT_VERSION MalformedDocument UnsupportedVersion"
+                        " canonical_json_bytes from_interchange to_interchange"),
+        ("notation", "AmbiguousContinuation AmbiguousRemote DanglingContinuation"
+                     " MisplacedRemote OrphanContinuation ParseError RenderError"
+                     " UnbalancedBrackets UnknownCategoryLabel UnresolvedRemote"
+                     " lex parse_passage render split_passages"),
+        ("scoring", "ClassScores EdgeSignature ScoreReport TokenMismatch score signatures"),
+        ("validation", "Diagnostic RuleInfo list_rules load_config parse_config validate"),
+    )
+    for name in names.split()
+}
+_SUBMODULES = frozenset(_HOME.values())
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

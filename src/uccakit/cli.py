@@ -13,18 +13,38 @@ import argparse
 import io
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from .core import CategoryCounts, Passage, UccaError, stats
-from .interchange import (
-    FILE_EXTENSION,
-    canonical_json_bytes,
-    from_interchange,
-    to_interchange,
-)
-from .notation import RenderError, parse_passage, render, split_passages
-from .scoring import score
-from .validation import load_config, validate
+from .core import FILE_EXTENSION, CategoryCounts, Passage, UccaError, stats
+
+
+def _forward(module: str, name: str):
+    """A stand-in for `module.name` that imports the module on its first
+    call, so that each command loads only the modules it runs.  Commands
+    look the stand-ins up as module globals at every call, so patching
+    them here reaches every command."""
+    target = None
+
+    def call(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(import_module(module, __package__), name)
+        return target(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+split_passages = _forward(".notation", "split_passages")
+parse_passage = _forward(".notation", "parse_passage")
+render = _forward(".notation", "render")
+to_interchange = _forward(".interchange", "to_interchange")
+from_interchange = _forward(".interchange", "from_interchange")
+canonical_json_bytes = _forward(".interchange", "canonical_json_bytes")
+score = _forward(".scoring", "score")
+validate = _forward(".validation", "validate")
+load_config = _forward(".validation", "load_config")
 
 OK = 0
 DIAGNOSTICS = 1
@@ -223,7 +243,7 @@ def cmd_convert(args) -> int:
         else:
             try:
                 sys.stdout.write(render(passage, label_side=args.label_side) + "\n")
-            except RenderError as exc:
+            except UccaError as exc:
                 raise _Failure(f"{args.path}: {exc}") from exc
     except _Failure as failure:
         print(failure.message, file=sys.stderr)

@@ -28,6 +28,10 @@ INTERNAL = "internal"
 IMPLICIT = "implicit"
 _KINDS = (TERMINAL, INTERNAL, IMPLICIT)
 
+# The suffix of interchange files; here so that the command line can tell
+# formats apart without importing the JSON code.
+FILE_EXTENSION = ".ucca.json"
+
 
 class UccaError(Exception):
     """Base class for all errors raised by this package."""

@@ -16,6 +16,7 @@ from json.encoder import encode_basestring
 
 from .categories import CategorySet, InvalidCategory
 from .core import (
+    FILE_EXTENSION,  # re-exported: it names this module's files
     IMPLICIT,
     INTERNAL,
     TERMINAL,
@@ -29,7 +30,6 @@ from .core import (
 )
 
 FORMAT_VERSION = "1"
-FILE_EXTENSION = ".ucca.json"
 
 
 class MalformedDocument(UccaError):

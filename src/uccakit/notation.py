@@ -164,7 +164,13 @@ def lex(source: str) -> list[NotationToken]:
             start, end = m.span()
         else:
             start = byte_at + len(source[char_at:m.start()].encode("utf-8"))
-            end = start + len(text.encode("utf-8"))
+            try:
+                end = start + len(text.encode("utf-8"))
+            except UnicodeEncodeError:
+                # Only a word can hold a lone surrogate; whitespace cannot.
+                raise ParseError(
+                    "not valid Unicode: a word holds a lone surrogate", position=start
+                ) from None
             char_at, byte_at = m.end(), end
         kind = kinds.get(text)
         if kind is None:

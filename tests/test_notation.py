@@ -77,6 +77,26 @@ class TestLexer:
         (tok,) = lex("hello")
         assert tok.kind == "word"
 
+    @pytest.mark.parametrize(
+        "source, position",
+        [("[A a\ud800b]", 3), ("[A xé] [A a\udfffb]", 11), ("\ud800", 0)],
+    )
+    def test_lone_surrogate_is_a_parse_error(self, source, position):
+        with pytest.raises(ParseError) as info:
+            lex(source)
+        assert type(info.value) is ParseError
+        assert info.value.position == position
+        assert str(info.value) == (
+            f"byte {position}: not valid Unicode: a word holds a lone surrogate"
+        )
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_lone_surrogate_fails_parse_at_its_word(self, lenient):
+        with pytest.raises(ParseError) as info:
+            parse_passage("[H [A John] [P a\ud800b] ]", lenient_remotes=lenient)
+        assert info.value.position == 15
+        assert "not valid Unicode" in str(info.value)
+
 
 class TestParseBasics:
     def test_label_left(self):

@@ -130,9 +130,7 @@ def _config_from(args) -> dict[str, str]:
         return {}
     try:
         return load_config(path)
-    except OSError as exc:
-        raise _Failure(f"{path}: {exc}") from exc
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise _Failure(f"{path}: {exc}") from exc
 
 

@@ -9,7 +9,7 @@ tokens are always text, which keeps words such as "A" usable.
 
 Non-contiguous units are written as two or more fragments sharing a
 dashed label: "[P- took]" opens the unit and "[up on -P]" continues it.
-When same-category fragments interleave, digit indices disambiguate:
+Two such units of one category among siblings take digit indices:
 "[A1- w1] [A2- w2] w3 [-A1 w4] [-A2 w5]".  Fragments are matched among
 the children of one unit; the first fragment fixes the unit's parent and
 categories.
@@ -29,6 +29,7 @@ import re
 import unicodedata
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .categories import CategorySet, InvalidCategory, ALL_LABELS
 from .core import (
@@ -641,7 +642,8 @@ def render(passage: Passage, label_side: str = "left") -> str:
 
     Output is deterministic and reparses to an isomorphic passage.
     Non-contiguous units come out as dashed fragments, with digit indices
-    added exactly when sibling fragments of the same category interleave.
+    added whenever two sibling units of the same category are both
+    non-contiguous, whether or not their fragments interleave.
     Remote targets are written as the target's surface text, so passages
     in which that text picks out several units cannot round-trip and are
     reported as unrenderable, as are zero-width internal units.
@@ -655,154 +657,142 @@ class _Renderer:
     def __init__(self, passage: Passage, label_side: str):
         self.p = passage
         self.side = label_side
-        self.frags: dict[str, list[tuple[int, ...]]] = {}
-        self.indices: dict[str, str] = {}
         self.readers: dict[tuple[str, ...], list[str]] | None = None
 
     def render(self) -> str:
+        """Write the passage in one left-to-right sweep over its tokens.
+
+        Every fragment opens before its first token and closes after its
+        last.  Fragments that open or close at the same token are nested,
+        so pre-order opens the outer one first and the reverse order
+        closes the inner one first.  Each token is written once, inside
+        the innermost open fragment.
+        """
         p = self.p
-        for tok in p.tokens:
+        tokens = p.tokens
+        for tok in tokens:
             if any(ch in "[]()" for ch in tok.text) or any(ch.isspace() for ch in tok.text):
                 raise RenderError(
                     f"token {tok.text!r} contains notation delimiters or spaces"
                 )
+        frags = self._fragments()
         for uid, unit in p.units.items():
-            if uid == p.root:
-                continue
-            if unit.kind == INTERNAL and not p.extents[uid]:
+            if unit.kind == INTERNAL and not frags[uid] and uid != p.root:
                 raise RenderError(f"unit {uid} covers no tokens and cannot be written")
-        for uid in p.units:
-            self.frags[uid] = self._fragments(uid)
+
+        # Each bracketed unit's label and UNA mark, and the fragments that
+        # open and close at each token, outer ones first.
+        labels: dict[str, str] = {}
+        una: set[str] = set()
+        opens: list[list[tuple[str, int]]] = [[] for _ in tokens]
+        closes: list[list[tuple[str, int]]] = [[] for _ in tokens]
         for uid, unit in p.units.items():
-            if unit.kind == INTERNAL or uid == p.root:
-                self._assign_indices(uid)
+            if uid != p.root:
+                for k, (first, last) in enumerate(frags[uid]):
+                    opens[first].append((uid, k))
+                    closes[last].append((uid, k))
+            groups: dict[str, list[str]] = {}
+            for e in unit.outgoing:
+                if e.remote or not frags[e.child]:
+                    continue
+                labels[e.child] = label = self._label_text(e)
+                if UNA_MARKER in e.categories:
+                    una.add(e.child)
+                if len(frags[e.child]) > 1:
+                    groups.setdefault(label, []).append(e.child)
+            for members in groups.values():
+                if len(members) > 1:
+                    members.sort(key=lambda cid: frags[cid][0][0])
+                    for n, cid in enumerate(members, start=1):
+                        labels[cid] += str(n)
 
-        top_items = []
-        covered: set[int] = set()
-        for e in p.units[p.root].outgoing:
-            if e.remote or p.units[e.child].kind == IMPLICIT:
-                continue
-            for k, frag in enumerate(self.frags[e.child]):
-                top_items.append((frag[0], self._bracket(e, k)))
-                covered.update(range(frag[0], frag[-1] + 1))
-        top_items.extend(
-            (pos, tok.text) for pos, tok in enumerate(p.tokens) if pos not in covered
-        )
-        top_items.sort(key=lambda item: item[0])
-        pieces = [text for _, text in top_items]
-        pieces.extend(self._paren_texts(p.root))
-        return " ".join(pieces)
+        out: list[str] = []
+        glue = ""  # opening brackets still waiting for their first piece
+        unwritten: list[str | None] = []  # each open fragment's label, until written
+        for pos, tok in enumerate(tokens):
+            for uid, k in opens[pos]:
+                label = labels[uid]
+                if len(frags[uid]) > 1:
+                    label = f"{label}-" if k == 0 else f"-{label}"
+                # A leading label-shaped word would win label detection, so
+                # such a terminal falls back to a left-side label.
+                if self.side == "left" or (
+                    p.units[uid].kind == TERMINAL and _classify(tok.text) == LABEL
+                ):
+                    out.append(f"{glue}[{label}")
+                    glue, label = "", None
+                else:
+                    glue += "["
+                unwritten.append(label)
+            out.append(glue + tok.text)
+            glue = ""
+            for uid, k in reversed(closes[pos]):
+                if k == 0 and uid in una:
+                    out.append(UNA_MARKER)
+                elif p.units[uid].kind == TERMINAL and tok.text == UNA_MARKER:
+                    raise RenderError(
+                        f"unit {uid} ends with the literal word 'UNA', which the notation reserves"
+                    )
+                label = unwritten.pop()
+                if label is not None:
+                    out.append(label)
+                if k == len(frags[uid]) - 1:
+                    out.extend(self._paren_texts(uid))
+                out[-1] += "]"
+        out.extend(self._paren_texts(p.root))
+        return " ".join(out)
 
-    def _fragments(self, uid: str) -> list[tuple[int, ...]]:
-        yset = self.p.extents[uid]
-        ys = sorted(yset)
-        if not ys:
-            return []
-        frags = [[ys[0]]]
-        for prev, cur in zip(ys, ys[1:]):
-            split = any(
-                not self.p.tokens[r].is_punct and r not in yset
-                for r in range(prev + 1, cur)
-            )
-            if split:
-                frags.append([cur])
+    def _fragments(self) -> dict[str, list[tuple[int, int]]]:
+        """Each unit's fragments as (first, last) token positions.
+
+        A fragment is a maximal run of the unit's tokens with only
+        punctuation between them.  Pre-order ids put children before
+        parents in reverse, so an internal unit merges the fragments of
+        its primary children.
+        """
+        p = self.p
+        words_before = list(accumulate((not t.is_punct for t in p.tokens), initial=0))
+        frags: dict[str, list[tuple[int, int]]] = {}
+        for uid in reversed(p.units):
+            unit = p.units[uid]
+            if unit.kind == TERMINAL:
+                runs = [(pos, pos) for pos in sorted(unit.tokens)]
             else:
-                frags[-1].append(cur)
-        return [tuple(f) for f in frags]
-
-    def _assign_indices(self, uid: str) -> None:
-        groups: dict[tuple, list[str]] = {}
-        for e in self.p.units[uid].outgoing:
-            if e.remote or self.p.units[e.child].kind == IMPLICIT:
-                continue
-            if len(self.frags[e.child]) > 1:
-                key = tuple(l for l in e.categories.labels if l != UNA_MARKER)
-                groups.setdefault(key, []).append(e.child)
-        for members in groups.values():
-            if len(members) > 1:
-                members.sort(key=lambda cid: self.frags[cid][0][0])
-                for n, cid in enumerate(members, start=1):
-                    self.indices[cid] = str(n)
+                runs = sorted(f for e in unit.outgoing if not e.remote for f in frags[e.child])
+            merged = frags[uid] = []
+            for first, last in runs:
+                if merged and words_before[first] == words_before[merged[-1][1] + 1]:
+                    merged[-1] = (merged[-1][0], last)
+                else:
+                    merged.append((first, last))
+        return frags
 
     def _label_text(self, edge) -> str:
         plain = [l for l in edge.categories.labels if l != UNA_MARKER]
         # An edge carrying only UNA cannot be built, so plain is never empty.
         return "+".join(plain)
 
-    def _bracket(self, edge, frag_index: int) -> str:
-        p = self.p
-        uid = edge.child
-        unit = p.units[uid]
-        frags = self.frags[uid]
-        frag = frags[frag_index]
-        label = self._label_text(edge) + self.indices.get(uid, "")
-        if len(frags) > 1:
-            label = f"{label}-" if frag_index == 0 else f"-{label}"
-
-        items: list[tuple[int, str]] = []
-        lo, hi = frag[0], frag[-1]
-        if unit.kind == TERMINAL:
-            for pos in range(lo, hi + 1):
-                if pos in p.extents[uid] or p.tokens[pos].is_punct:
-                    items.append((pos, p.tokens[pos].text))
-        else:
-            child_intervals = []
-            for e in unit.outgoing:
-                if e.remote or p.units[e.child].kind == IMPLICIT:
-                    continue
-                for k, cf in enumerate(self.frags[e.child]):
-                    if lo <= cf[0] <= hi:
-                        items.append((cf[0], self._bracket(e, k)))
-                        child_intervals.append((cf[0], cf[-1]))
-            for pos in range(lo, hi + 1):
-                if p.tokens[pos].is_punct and not any(
-                    a <= pos <= b for a, b in child_intervals
-                ):
-                    items.append((pos, p.tokens[pos].text))
-        items.sort(key=lambda item: item[0])
-        words = [text for _, text in items]
-
-        una = []
-        if UNA_MARKER in edge.categories and frag_index == 0:
-            una = [UNA_MARKER]
-        if not una and unit.kind == TERMINAL and words and words[-1] == UNA_MARKER:
-            raise RenderError(
-                f"unit {uid} ends with the literal word 'UNA', which the notation reserves"
-            )
-
-        parens = self._paren_texts(uid) if frag_index == len(frags) - 1 else []
-        side = self.side
-        if side == "right" and words and _classify(words[0]) == LABEL:
-            # A leading label-shaped word would win label detection, so
-            # fall back to a left-side label for this bracket.
-            side = "left"
-        if side == "left":
-            pieces = [label] + words + una + parens
-        else:
-            pieces = words + una + [label] + parens
-        return "[" + " ".join(pieces) + "]"
-
     def _paren_texts(self, uid: str) -> list[str]:
         p = self.p
         out = []
         for e in p.units[uid].outgoing:
             if e.remote:
-                text = p.text_of(e.child)
+                text = self._text(e.child)
                 if not text:
                     raise RenderError(
                         f"remote target {e.child} has no surface text to refer to it by"
                     )
-                if text == IMPLICIT_MARKER:
+                if text == (IMPLICIT_MARKER,):
                     raise RenderError(
                         "remote target reads 'IMP', which the notation reserves"
                     )
                 self._check_unambiguous(uid, e.child, text)
-                out.append(f"({text} {self._label_text(e)})")
+                out.append(f"({' '.join(text)} {self._label_text(e)})")
             elif p.units[e.child].kind == IMPLICIT:
                 out.append(f"({IMPLICIT_MARKER} {e.categories.notation()})")
         return out
 
-    def _check_unambiguous(self, owner: str, target: str, text: str) -> None:
+    def _check_unambiguous(self, owner: str, target: str, text: tuple[str, ...]) -> None:
         # Re-run the reference resolution a reader would apply; unless it
         # lands on exactly one unit, the remote cannot be written as text.
         p = self.p
@@ -810,10 +800,10 @@ class _Renderer:
             self.readers = {}
             for uid in p.units:
                 self.readers.setdefault(self._text(uid), []).append(uid)
-        minimal = _minimal_readers(self.readers, self._text(target), owner, self._parent)
+        minimal = _minimal_readers(self.readers, text, owner, self._parent)
         if len(minimal) != 1:
             raise RenderError(
-                f"{len(minimal)} units read {text!r}; the remote reference to"
+                f"{len(minimal)} units read {' '.join(text)!r}; the remote reference to"
                 f" {target} would be ambiguous"
             )
 

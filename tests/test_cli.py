@@ -30,7 +30,8 @@ R1_MUTANT = EDGE_DIR / "r1-mutant.txt"
 MULTI = EDGE_DIR / "multi.txt"
 UNBALANCED = EDGE_DIR / "unbalanced.txt"
 AMBIGUOUS = EDGE_DIR / "ambiguous-remote.txt"
-# 1,200 nested participants: deeper than the interpreter's recursion limit.
+# 1,200 nested participants: deeper than the interpreter's recursion limit,
+# which no command is bounded by.
 DEEP_SOURCE = "[H [P ran] " + "[A " * 1200 + "x" + " ]" * 1201
 
 
@@ -317,9 +318,16 @@ class TestLoneSurrogateInterchange:
 
 
 class TestConvert:
-    def test_too_deep_to_render_exit_2(self, capsys, tmp_path):
+    def test_deep_nesting_converts_to_text(self, capsys, tmp_path):
         source = tmp_path / "deep.ucca.json"
         source.write_bytes(to_interchange(parse_passage(DEEP_SOURCE)))
+        code, out, err = run(capsys, "convert", str(source))
+        assert (code, err) == (0, "")
+        assert isomorphic(parse_passage(out), parse_passage(DEEP_SOURCE))
+
+    def test_too_deeply_nested_json_exit_2(self, capsys, tmp_path):
+        source = tmp_path / "deep.ucca.json"
+        source.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
         code, out, err = run(capsys, "convert", str(source))
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1

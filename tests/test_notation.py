@@ -1,7 +1,10 @@
+import ast
 import gc
+from pathlib import Path
 
 import pytest
 
+import uccakit
 from uccakit import (
     AmbiguousContinuation,
     AmbiguousRemote,
@@ -386,6 +389,36 @@ class TestDeepNesting:
             assert (edge.child, edge.categories.labels) == (str(i + 1), ("A",))
         assert p.units[str(depth + 2)].tokens == frozenset({1})
         assert validate(p) == []
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_any_depth_renders(self, side):
+        depth = 5000
+        p = parse_passage("[H [P ran] " + "[A " * depth + "x" + " ]" * (depth + 1))
+        assert isomorphic(parse_passage(render(p, side)), p)
+
+
+def _callee(call: ast.Call) -> str | None:
+    """The name a call invokes directly or as self.<name>, if either."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "self":
+        return func.attr
+    return None
+
+
+def test_no_function_in_src_calls_itself():
+    # A recursive walk would bound its command by the recursion limit.
+    calls_itself = []
+    for path in sorted(Path(uccakit.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls_itself += [
+                    f"{path.name}:{call.lineno} {fn.name}"
+                    for call in ast.walk(fn)
+                    if isinstance(call, ast.Call) and _callee(call) == fn.name
+                ]
+    assert calls_itself == []
 
 
 class TestUnanalyzable:

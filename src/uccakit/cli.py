@@ -298,15 +298,9 @@ def cmd_stats(args) -> int:
         lines = [f"{'category':<16}{'edges':>8}"]
         for label, count in sorted(total.categories.items()):
             lines.append(f"{label:<16}{count:>8}")
-        for name in (
-            "edges",
-            "scene_units",
-            "remote_edges",
-            "implicit_units",
-            "una_units",
-            "tokens",
-        ):
-            lines.append(f"{name:<16}{getattr(total, name):>8}")
+        for name, value in total.to_dict().items():
+            if name != "categories":
+                lines.append(f"{name:<16}{value:>8}")
         buffer.write("\n".join(lines) + "\n")
     return _flush(status, buffer)
 

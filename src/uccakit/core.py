@@ -487,7 +487,7 @@ def is_scene_unit(passage: Passage, unit_id: str) -> bool:
     unit = passage.unit(unit_id)
     if unit.kind != INTERNAL:
         raise NotInternal(f"unit {unit_id!r} is {unit.kind}; only internal units can be scenes")
-    return any("P" in e.categories or "S" in e.categories for e in unit.outgoing)
+    return any("P" in e.categories.labels or "S" in e.categories.labels for e in unit.outgoing)
 
 
 @dataclass
@@ -535,20 +535,25 @@ class CategoryCounts:
 def stats(passage: Passage) -> CategoryCounts:
     """Count edges per category plus scene, remote, implicit and UNA totals."""
     counts = CategoryCounts(tokens=len(passage.tokens))
-    cats: Counter[str] = Counter()
-    for edge in passage.edges():
-        counts.edges += 1
-        cats.update(edge.categories)
-        if edge.remote:
-            counts.remote_edges += 1
-    for unit in passage.units.values():
+    by_labels: Counter[tuple[str, ...]] = Counter()
+    una: set[str] = set()
+    for uid, unit in passage.units.items():
         if unit.kind == IMPLICIT:
             counts.implicit_units += 1
-        if unit.kind == INTERNAL and is_scene_unit(passage, unit.id):
+        elif unit.kind == INTERNAL and is_scene_unit(passage, uid):
             counts.scene_units += 1
-        if any("UNA" in e.categories for e in passage.incoming(unit.id)):
-            counts.una_units += 1
-    counts.categories = dict(cats)
+        counts.edges += len(unit.outgoing)
+        for edge in unit.outgoing:
+            labels = edge.categories.labels
+            by_labels[labels] += 1
+            counts.remote_edges += edge.remote
+            if "UNA" in labels:
+                una.add(edge.child)
+    counts.una_units = len(una)
+    # Label sets in order of first use put the labels in that order too.
+    for labels, n in by_labels.items():
+        for label in labels:
+            counts.categories[label] = counts.categories.get(label, 0) + n
     return counts
 
 

@@ -58,6 +58,7 @@ _DELIMS = {"[": LBRACKET, "]": RBRACKET, "(": LPAREN, ")": RPAREN}
 # patterns `\s` matches exactly the characters for which str.isspace()
 # is true.
 _TOKEN = re.compile(r"[\[\]()]|[^\s\[\]()]+")
+_DELIMITED = re.compile(r"[\[\]()\s]")
 
 _LABEL_SHAPE = re.compile(r"^(-)?([A-Z]+(?:\+[A-Z]+)*)(\d+)?(-)?$")
 
@@ -532,10 +533,10 @@ def parse_passage(
                 f"byte {paren.start}: {len(minimal)} units read {' '.join(wanted)!r};"
                 " picking the nearest preceding one"
             )
-        before = [n for n in minimal if min(extents[n]) < ref]
+        before = [n for n in minimal if extents[n][0] < ref]
         if before:
-            return max(before, key=lambda n: min(extents[n]))
-        return min(minimal, key=lambda n: min(extents[n]))
+            return max(before, key=lambda n: extents[n][0])
+        return min(minimal, key=lambda n: extents[n][0])
 
     # One walk visits each node twice: on entry it takes the next id, and
     # once its children are done it adds its implicit units and the edge
@@ -568,15 +569,22 @@ def parse_passage(
             edges.append(EdgeSpec(ids[parent[node]], uid, cats))
 
     if remote_requests:
-        # ids holds the nodes in pre-order, so children come before
-        # parents in reverse.
-        extents: dict[_Node, set[int]] = {}
+        # Only a node with as many words as a remote text can read it.  Children
+        # come before parents in reverse pre-order; only short nodes list positions.
+        lengths = {len(paren.words) for _, paren in remote_requests}
+        longest = max(lengths)
+        size: dict[_Node, int] = {}
+        extents: dict[_Node, list[int]] = {}
         for node in reversed(ids):
-            extents[node] = set(node.positions).union(*(extents[c] for c in node.children))
+            size[node] = len(node.positions) + sum(size[c] for c in node.children)
+            if size[node] <= longest:
+                below = [pos for c in node.children for pos in extents[c]]
+                extents[node] = sorted([*node.positions, *below])
         readers: dict[tuple[str, ...], list[_Node]] = {}
         for node in ids:
-            text = tuple(stream[pos].text for pos in sorted(extents[node]))
-            readers.setdefault(text, []).append(node)
+            if size[node] in lengths:
+                text = tuple(stream[pos].text for pos in extents[node])
+                readers.setdefault(text, []).append(node)
         word_starts = [t.start for t in word_toks]
 
     remotes: dict[tuple[_Node, _Node], _RawParen] = {}
@@ -657,7 +665,7 @@ class _Renderer:
     def __init__(self, passage: Passage, label_side: str):
         self.p = passage
         self.side = label_side
-        self.readers: dict[tuple[str, ...], list[str]] | None = None
+        self.readers: dict[int, dict[tuple[str, ...], list[str]]] = {}  # by text length
 
     def render(self) -> str:
         """Write the passage in one left-to-right sweep over its tokens.
@@ -671,10 +679,8 @@ class _Renderer:
         p = self.p
         tokens = p.tokens
         for tok in tokens:
-            if any(ch in "[]()" for ch in tok.text) or any(ch.isspace() for ch in tok.text):
-                raise RenderError(
-                    f"token {tok.text!r} contains notation delimiters or spaces"
-                )
+            if _DELIMITED.search(tok.text):
+                raise RenderError(f"token {tok.text!r} contains notation delimiters or spaces")
         frags = self._fragments()
         for uid, unit in p.units.items():
             if unit.kind == INTERNAL and not frags[uid] and uid != p.root:
@@ -796,11 +802,13 @@ class _Renderer:
         # Re-run the reference resolution a reader would apply; unless it
         # lands on exactly one unit, the remote cannot be written as text.
         p = self.p
-        if self.readers is None:
-            self.readers = {}
+        readers = self.readers.get(len(text))
+        if readers is None:
+            readers = self.readers[len(text)] = {}
             for uid in p.units:
-                self.readers.setdefault(self._text(uid), []).append(uid)
-        minimal = _minimal_readers(self.readers, text, owner, self._parent)
+                if len(p.extents[uid]) == len(text):
+                    readers.setdefault(self._text(uid), []).append(uid)
+        minimal = _minimal_readers(readers, text, owner, self._parent)
         if len(minimal) != 1:
             raise RenderError(
                 f"{len(minimal)} units read {' '.join(text)!r}; the remote reference to"

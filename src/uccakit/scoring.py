@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import IMPLICIT, Passage, UccaError
+from .core import Passage, UccaError
 
 
 class TokenMismatch(UccaError):
@@ -32,16 +32,21 @@ class EdgeSignature:
     remote: bool
 
 
+def _edge_keys(passage: Passage) -> list[tuple[tuple[int, ...], tuple[str, ...], bool]]:
+    """Each scored edge's signature as a plain (tokens, labels, remote) key.
+    Implicit and zero-width children have an empty extent and are skipped."""
+    extents = passage.extents
+    keys = []
+    for unit in passage.units.values():
+        for e in unit.outgoing:
+            extent = extents[e.child]
+            if extent:
+                keys.append((tuple(sorted(extent)), e.categories.labels, e.remote))
+    return keys
+
+
 def signatures(passage: Passage) -> list[EdgeSignature]:
-    out = []
-    for e in passage.edges():
-        if passage.units[e.child].kind == IMPLICIT:
-            continue
-        extent = passage.extents[e.child]
-        if not extent:
-            continue
-        out.append(EdgeSignature(tuple(sorted(extent)), e.categories.labels, e.remote))
-    return out
+    return [EdgeSignature(*key) for key in _edge_keys(passage)]
 
 
 @dataclass(frozen=True)
@@ -116,22 +121,6 @@ class ScoreReport:
         return "\n".join(lines)
 
 
-def _matched(gold: Counter, predicted: Counter) -> int:
-    return sum(min(count, predicted[key]) for key, count in gold.items())
-
-
-def _class_scores(gold, predicted, *, labeled: bool, remote: bool) -> ClassScores:
-    def keys(sigs):
-        return Counter(
-            (s.tokens, s.categories if labeled else ())
-            for s in sigs
-            if s.remote == remote
-        )
-
-    g, p = keys(gold), keys(predicted)
-    return ClassScores(_matched(g, p), sum(g.values()), sum(p.values()))
-
-
 def score(gold: Passage, predicted: Passage) -> ScoreReport:
     """Compare two annotations of the same token sequence.
 
@@ -152,22 +141,30 @@ def score(gold: Passage, predicted: Passage) -> ScoreReport:
             f"token counts differ: gold has {len(gold_toks)}, predicted has {len(pred_toks)}"
         )
 
-    gold_sigs = signatures(gold)
-    pred_sigs = signatures(predicted)
-
-    labels = set()
-    for s in gold_sigs + pred_sigs:
-        labels.update(s.categories)
-    per_category = {}
-    for label in sorted(labels):
-        g = Counter(s for s in gold_sigs if label in s.categories)
-        p = Counter(s for s in pred_sigs if label in s.categories)
-        per_category[label] = ClassScores(_matched(g, p), sum(g.values()), sum(p.values()))
+    gold_keys, pred_keys = _edge_keys(gold), _edge_keys(predicted)
+    gold_spans = Counter([(tokens, (), remote) for tokens, _, remote in gold_keys])
+    pred_spans = Counter([(tokens, (), remote) for tokens, _, remote in pred_keys])
+    # [matched, gold, predicted] per (labels, remote); unlabeled keys carry no labels.
+    tally: dict[tuple[tuple[str, ...], bool], list[int]] = {}
+    for g_count, p_count in ((Counter(gold_keys), Counter(pred_keys)), (gold_spans, pred_spans)):
+        for key in g_count.keys() | p_count.keys():
+            g, p = g_count.get(key, 0), p_count.get(key, 0)
+            counts = tally.setdefault(key[1:], [0, 0, 0])
+            counts[0] += min(g, p)
+            counts[1] += g
+            counts[2] += p
+    classes = {(lab, rem): [0, 0, 0] for lab in (True, False) for rem in (False, True)}
+    per_label: dict[str, list[int]] = {}
+    for (labels, remote), counts in tally.items():
+        per = [per_label.setdefault(label, [0, 0, 0]) for label in labels]
+        for total in (classes[bool(labels), remote], *per):
+            for i, n in enumerate(counts):
+                total[i] += n
 
     return ScoreReport(
-        labeled_primary=_class_scores(gold_sigs, pred_sigs, labeled=True, remote=False),
-        labeled_remote=_class_scores(gold_sigs, pred_sigs, labeled=True, remote=True),
-        unlabeled_primary=_class_scores(gold_sigs, pred_sigs, labeled=False, remote=False),
-        unlabeled_remote=_class_scores(gold_sigs, pred_sigs, labeled=False, remote=True),
-        per_category=per_category,
+        labeled_primary=ClassScores(*classes[True, False]),
+        labeled_remote=ClassScores(*classes[True, True]),
+        unlabeled_primary=ClassScores(*classes[False, False]),
+        unlabeled_remote=ClassScores(*classes[False, True]),
+        per_category={label: ClassScores(*per_label[label]) for label in sorted(per_label)},
     )

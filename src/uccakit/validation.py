@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import IMPLICIT, INTERNAL, Passage, id_key, is_scene_unit
+from .core import IMPLICIT, INTERNAL, Edge, Passage, id_key, is_scene_unit
 
 ERROR = "error"
 WARNING = "warning"
@@ -185,9 +185,25 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
 
     units = passage.units
     root = passage.root
+    extents = passage.extents
 
-    def unanalyzable(unit_id: str) -> bool:
-        return any("UNA" in e.categories for e in passage.incoming(unit_id))
+    # One pass over the edges collects the per-unit facts the rules share:
+    # each unit's primary and remote incoming edges, the units with an
+    # incoming UNA edge, and the scene units.
+    primary_in: dict[str, Edge] = {}
+    remote_in: dict[str, list[Edge]] = {}
+    una: set[str] = set()
+    scenes: set[str] = set()
+    for uid, unit in units.items():
+        if unit.kind == INTERNAL and is_scene_unit(passage, uid):
+            scenes.add(uid)
+        for e in unit.outgoing:
+            if e.remote:
+                remote_in.setdefault(e.child, []).append(e)
+            else:
+                primary_in[e.child] = e
+            if "UNA" in e.categories.labels:
+                una.add(e.child)
 
     for e in units[root].outgoing:
         base = e.categories.base()
@@ -197,93 +213,72 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
     for uid, unit in units.items():
         if unit.kind != INTERNAL:
             continue
-        mains = [e for e in unit.outgoing if "P" in e.categories or "S" in e.categories]
-        if len(mains) > 1:
-            report("R2", uid, f"scene unit has {len(mains)} main-relation children")
+        labels = [e.categories.labels for e in unit.outgoing]
+        present = set().union(*labels)
+        if uid in scenes:
+            mains = sum(1 for ls in labels if "P" in ls or "S" in ls)
+            if mains > 1:
+                report("R2", uid, f"scene unit has {mains} main-relation children")
 
         if (
             uid != root
-            and not is_scene_unit(passage, uid)
-            and not unanalyzable(uid)
-            and len(unit.outgoing) >= 2
-            and not any("H" in e.categories or "L" in e.categories for e in unit.outgoing)
-            and not any("C" in e.categories for e in unit.outgoing)
+            and uid not in scenes
+            and uid not in una
+            and len(labels) >= 2
+            and not present & {"H", "L", "C"}
         ):
             report("R3", uid, "non-scene unit has several children but no center")
 
-        if any("N" in e.categories for e in unit.outgoing) and any(
-            "E" in e.categories or "Q" in e.categories for e in unit.outgoing
-        ):
+        if "N" in present and ("E" in present or "Q" in present):
             report("R11", uid, "unit mixes a connector child with elaborator or quantifier children")
 
-        if unit.outgoing and not any(
-            not e.remote and set(e.categories.labels) != {"F"} for e in unit.outgoing
-        ):
+        if labels and all(e.remote or e.categories.labels == ("F",) for e in unit.outgoing):
             report("R6", uid, "unit has no non-remote child beyond function words")
 
-    for uid, unit in units.items():
-        for e in unit.outgoing:
-            if "L" in e.categories and uid != root:
-                if not any("H" in s.categories for s in unit.outgoing):
-                    report("R4", e.child, "linker has no parallel scene beside it")
+        for e, ls in zip(unit.outgoing, labels):
+            if "L" in ls and uid != root and "H" not in present:
+                report("R4", e.child, "linker has no parallel scene beside it")
 
-            if e.remote and "F" in e.categories:
+            if e.remote and "F" in ls:
                 report("R5", e.child, "function word attached as remote")
 
-            if "D" in e.categories and uid != root and not is_scene_unit(passage, uid):
-                parent_in = passage.primary_parent_edge(uid)
-                coordination = (
-                    parent_in is not None
-                    and "C" in parent_in.categories
-                    and any("C" in s.categories for s in unit.outgoing)
-                )
-                if not coordination:
+            if "D" in ls and uid != root and uid not in scenes:
+                parent_in = primary_in.get(uid)
+                if not (parent_in and "C" in parent_in.categories.labels and "C" in present):
                     report("R7", e.child, "adverbial inside a non-scene unit")
 
-            if "CMR" in e.categories and "P" not in e.categories and "S" not in e.categories:
+            if "CMR" in ls and "P" not in ls and "S" not in ls:
                 report("R8", e.child, "coordinated-main-relation mark without process or state")
 
             if e.remote:
-                target = units[e.child]
-                extent = passage.extents[e.child]
-                if target.kind == INTERNAL and extent:
-                    wrapped = any(
-                        not c.remote and passage.extents[c.child] == extent
-                        for c in target.outgoing
-                    )
-                    if wrapped:
-                        report(
-                            "R12",
-                            uid,
-                            "remote edge targets a unit wrapping an equally wide child",
-                        )
+                target, extent = units[e.child], extents[e.child]
+                if target.kind == INTERNAL and extent and any(
+                    not c.remote and extents[c.child] == extent for c in target.outgoing
+                ):
+                    report("R12", uid, "remote edge targets a unit wrapping an equally wide child")
 
             if (e.remote or units[e.child].kind == IMPLICIT) and all(
-                label in ("F", "UNA") for label in e.categories.labels
+                label in ("F", "UNA") for label in ls
             ):
                 report("W2", e.child, f"added edge carries only {e.categories}")
 
     for uid, unit in units.items():
-        if uid == root:
+        if uid == root or unit.kind != INTERNAL:
             continue
-        if unanalyzable(uid) and unit.kind == INTERNAL:
+        if uid in una:
             report("R9", uid, "unanalyzable unit has children")
 
-        incoming = passage.primary_parent_edge(uid)
-        all_f = all(e.categories.base() == {"F"} for e in passage.incoming(uid))
-        if all_f and any(e.remote for e in unit.outgoing):
+        incoming = primary_in[uid]
+        if any(e.remote for e in unit.outgoing) and all(
+            e.categories.base() == {"F"} for e in (incoming, *remote_in.get(uid, ()))
+        ):
             report("R5", uid, "function unit has remote children")
 
-        if unit.kind == INTERNAL and is_scene_unit(passage, uid):
-            base = incoming.categories.base()
-            if not base <= {"A", "E", "C", "H"}:
-                report("R13", uid, f"scene unit serves its parent as {incoming.categories}")
+        if uid in scenes and not incoming.categories.base() <= {"A", "E", "C", "H"}:
+            report("R13", uid, f"scene unit serves its parent as {incoming.categories}")
 
-        if (
-            unit.kind == INTERNAL
-            and "H" in incoming.categories
-            and unit.outgoing
-            and all("H" in e.categories or "L" in e.categories for e in unit.outgoing)
+        if unit.outgoing and "H" in incoming.categories.labels and all(
+            "H" in e.categories.labels or "L" in e.categories.labels for e in unit.outgoing
         ):
             report("W1", uid, "parallel scene contains only parallel scenes and linkers")
 

@@ -566,6 +566,23 @@ class TestRender:
         with pytest.raises(RenderError):
             render(p)
 
+    @pytest.mark.parametrize(
+        "char",
+        ["[", "]", "(", ")", " ", "\t", "\u00a0", "\u3000", "\u001c"],
+        ids=["lbracket", "rbracket", "lparen", "rparen", "space", "tab", "nbsp",
+             "ideographic-space", "file-separator"],
+    )
+    def test_token_with_delimiter_or_space_unrenderable(self, char):
+        text = f"a{char}b"
+        p = build_passage(
+            [Token("ok", 0), Token(text, 1)],
+            [UnitSpec("r", "internal"), UnitSpec("t", "terminal", (0, 1))],
+            [EdgeSpec("r", "t", "H")],
+        )
+        with pytest.raises(RenderError) as caught:
+            render(p)
+        assert str(caught.value) == f"token {text!r} contains notation delimiters or spaces"
+
     def test_zero_width_internal_unit_unrenderable(self):
         p = build_passage(
             [Token("slept", 0)],

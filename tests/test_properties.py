@@ -1,12 +1,19 @@
+from collections import Counter
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uccakit import (
+    IMPLICIT,
+    INTERNAL,
+    CategoryCounts,
     CategorySet,
     EdgeSpec,
     UnitSpec,
     build_passage,
     from_interchange,
+    is_scene_unit,
     isomorphic,
     parse_passage,
     render,
@@ -18,6 +25,7 @@ from uccakit import (
 )
 from uccakit.validation import list_rules
 
+from conftest import CORPUS, corpus_ids
 from strategies import COMBO_LABELS, PLAIN_LABELS, passages
 
 
@@ -121,6 +129,44 @@ def test_stats_addition_matches_fields(p, q):
         assert count == stats(p).categories.get(label, 0) + stats(q).categories.get(
             label, 0
         )
+
+
+def reference_stats(passage):
+    """The per-unit `stats` that a single pass over the edges replaced,
+    built only from public accessors and kept as its oracle."""
+    counts = CategoryCounts(tokens=len(passage.tokens))
+    cats = Counter()
+    for edge in passage.edges():
+        counts.edges += 1
+        cats.update(edge.categories)
+        if edge.remote:
+            counts.remote_edges += 1
+    for unit in passage.units.values():
+        if unit.kind == IMPLICIT:
+            counts.implicit_units += 1
+        if unit.kind == INTERNAL and is_scene_unit(passage, unit.id):
+            counts.scene_units += 1
+        if any("UNA" in e.categories for e in passage.incoming(unit.id)):
+            counts.una_units += 1
+    counts.categories = dict(cats)
+    return counts
+
+
+def assert_stats_match_reference(p):
+    got, expected = stats(p), reference_stats(p)
+    assert got.to_dict() == expected.to_dict()
+    assert list(got.categories) == list(expected.categories)
+
+
+@settings(max_examples=300)
+@given(passages(max_tokens=12))
+def test_stats_match_per_unit_reference(p):
+    assert_stats_match_reference(p)
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=corpus_ids())
+def test_stats_match_per_unit_reference_on_corpus(path):
+    assert_stats_match_reference(parse_passage(path.read_text()))
 
 
 @settings(max_examples=200)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uccakit import (
     EdgeSpec,
@@ -11,6 +13,8 @@ from uccakit import (
     score,
     signatures,
 )
+
+from strategies import labels, passages, token_streams
 
 
 def max_matching(gold_keys, pred_keys):
@@ -123,10 +127,25 @@ PAIRS = [
 PAIR_IDS = [p[0] for p in PAIRS]
 
 
-@pytest.mark.parametrize("name,gold_src,pred_src", PAIRS, ids=PAIR_IDS)
-def test_greedy_counts_equal_optimal_matching(name, gold_src, pred_src):
-    gold = parse_passage(gold_src)
-    pred = parse_passage(pred_src)
+# Pairs whose edges include implicit units, UNA and remotes, checked
+# against the oracle beside PAIRS.
+IMPLICIT_UNA_REMOTE = [
+    (
+        "implicit-una-remote-1",
+        "[H [P Come] [A here] , (IMP A) ] [H [P Thank] [A you UNA] (here A) ]",
+        "[H [P Come] [D here] , (IMP A) ] [H [P Thank you UNA] (here A) ]",
+    ),
+    (
+        "implicit-una-remote-2",
+        "[H [A John] [P came] ] [H [P left] (John A) (IMP D) ]",
+        "[H [A John UNA] [P came] ] [H [P left] (John E) ]",
+    ),
+]
+
+
+def assert_counts_equal_optimal_matching(gold, pred):
+    """All three counts of the four classes and of every category, and
+    the category order, against a maximum matching over signatures()."""
     report = score(gold, pred)
     gold_sigs = signatures(gold)
     pred_sigs = signatures(pred)
@@ -142,11 +161,47 @@ def test_greedy_counts_equal_optimal_matching(name, gold_src, pred_src):
         assert cs.matched == max_matching(g, p)
         assert cs.gold == len(g)
         assert cs.predicted == len(p)
-    for label, cs in report.per_category.items():
+    all_labels = sorted({label for s in gold_sigs + pred_sigs for label in s.categories})
+    assert list(report.per_category) == all_labels
+    for label in all_labels:
+        cs = report.per_category[label]
         g = [s for s in gold_sigs if label in s.categories]
         p = [s for s in pred_sigs if label in s.categories]
         assert cs.matched == max_matching(g, p)
         assert (cs.gold, cs.predicted) == (len(g), len(p))
+
+
+@pytest.mark.parametrize(
+    "name,gold_src,pred_src",
+    PAIRS + IMPLICIT_UNA_REMOTE,
+    ids=PAIR_IDS + [p[0] for p in IMPLICIT_UNA_REMOTE],
+)
+def test_greedy_counts_equal_optimal_matching(name, gold_src, pred_src):
+    assert_counts_equal_optimal_matching(parse_passage(gold_src), parse_passage(pred_src))
+
+
+@st.composite
+def scored_pairs(draw):
+    """Two annotations of one token stream: independent, or the second a
+    copy of the first with some edges relabelled and remotes dropped."""
+    tokens = draw(token_streams())
+    gold = draw(passages(tokens=tokens))
+    if draw(st.booleans()):
+        return gold, draw(passages(tokens=tokens))
+    edges = []
+    for e in gold.edges():
+        if e.remote and draw(st.booleans()):
+            continue
+        relabel = draw(st.integers(0, 3)) == 0
+        edges.append(EdgeSpec(e.parent, e.child, draw(labels) if relabel else e.categories, e.remote))
+    units = [UnitSpec(u.id, u.kind, tuple(sorted(u.tokens))) for u in gold.units.values()]
+    return gold, build_passage(tokens, units, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_pairs())
+def test_generated_counts_equal_optimal_matching(pair):
+    assert_counts_equal_optimal_matching(*pair)
 
 
 @pytest.mark.parametrize("name,gold_src,pred_src", PAIRS, ids=PAIR_IDS)

@@ -510,26 +510,14 @@ class CategoryCounts:
     def __add__(self, other: "CategoryCounts") -> "CategoryCounts":
         merged = Counter(self.categories)
         merged.update(other.categories)
-        return CategoryCounts(
-            categories=dict(merged),
-            edges=self.edges + other.edges,
-            scene_units=self.scene_units + other.scene_units,
-            remote_edges=self.remote_edges + other.remote_edges,
-            implicit_units=self.implicit_units + other.implicit_units,
-            una_units=self.una_units + other.una_units,
-            tokens=self.tokens + other.tokens,
-        )
+        # Every field after `categories` is a plain counter.
+        counters = [getattr(self, f.name) + getattr(other, f.name) for f in fields(self)[1:]]
+        return CategoryCounts(dict(merged), *counters)
 
     def to_dict(self) -> dict:
-        return {
-            "categories": {k: self.categories[k] for k in sorted(self.categories)},
-            "edges": self.edges,
-            "scene_units": self.scene_units,
-            "remote_edges": self.remote_edges,
-            "implicit_units": self.implicit_units,
-            "una_units": self.una_units,
-            "tokens": self.tokens,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["categories"] = dict(sorted(self.categories.items()))
+        return out
 
 
 def stats(passage: Passage) -> CategoryCounts:

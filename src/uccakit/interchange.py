@@ -74,7 +74,7 @@ def to_interchange(passage: Passage) -> bytes:
     units = [
         f'{{\n      "id": {enc(u.id)},\n      "kind": {enc(u.kind)},\n'
         f'      "tokens": {_array([str(p) for p in sorted(u.tokens)], "      ")}\n    }}'
-        for u in sorted(passage.units.values(), key=lambda u: id_key(u.id))
+        for u in passage.units.values()
     ]
     edges = [
         f'{{\n      "categories": {_array([enc(c) for c in e.categories.labels], "      ")},'

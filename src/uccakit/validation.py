@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import IMPLICIT, INTERNAL, Edge, Passage, id_key, is_scene_unit
+from .core import IMPLICIT, INTERNAL, Passage, id_key, is_scene_unit
 
 ERROR = "error"
 WARNING = "warning"
@@ -187,21 +187,14 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
     root = passage.root
     extents = passage.extents
 
-    # One pass over the edges collects the per-unit facts the rules share:
-    # each unit's primary and remote incoming edges, the units with an
-    # incoming UNA edge, and the scene units.
-    primary_in: dict[str, Edge] = {}
-    remote_in: dict[str, list[Edge]] = {}
+    # One pass over the edges collects the units with an incoming UNA edge
+    # and the scene units; incoming edges and extents come from the passage.
     una: set[str] = set()
     scenes: set[str] = set()
     for uid, unit in units.items():
         if unit.kind == INTERNAL and is_scene_unit(passage, uid):
             scenes.add(uid)
         for e in unit.outgoing:
-            if e.remote:
-                remote_in.setdefault(e.child, []).append(e)
-            else:
-                primary_in[e.child] = e
             if "UNA" in e.categories.labels:
                 una.add(e.child)
 
@@ -243,17 +236,19 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
                 report("R5", e.child, "function word attached as remote")
 
             if "D" in ls and uid != root and uid not in scenes:
-                parent_in = primary_in.get(uid)
-                if not (parent_in and "C" in parent_in.categories.labels and "C" in present):
+                parent_in = passage.primary_parent_edge(uid)
+                if not ("C" in parent_in.categories.labels and "C" in present):
                     report("R7", e.child, "adverbial inside a non-scene unit")
 
             if "CMR" in ls and "P" not in ls and "S" not in ls:
                 report("R8", e.child, "coordinated-main-relation mark without process or state")
 
             if e.remote:
-                target, extent = units[e.child], extents[e.child]
-                if target.kind == INTERNAL and extent and any(
-                    not c.remote and extents[c.child] == extent for c in target.outgoing
+                # A primary child's extent is a subset of its parent's, so
+                # the two are equal exactly when their sizes are.
+                target, width = units[e.child], len(extents[e.child])
+                if target.kind == INTERNAL and width and any(
+                    not c.remote and len(extents[c.child]) == width for c in target.outgoing
                 ):
                     report("R12", uid, "remote edge targets a unit wrapping an equally wide child")
 
@@ -268,9 +263,9 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
         if uid in una:
             report("R9", uid, "unanalyzable unit has children")
 
-        incoming = primary_in[uid]
+        incoming = passage.primary_parent_edge(uid)
         if any(e.remote for e in unit.outgoing) and all(
-            e.categories.base() == {"F"} for e in (incoming, *remote_in.get(uid, ()))
+            e.categories.base() == {"F"} for e in passage.incoming(uid)
         ):
             report("R5", uid, "function unit has remote children")
 
@@ -282,9 +277,7 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
         ):
             report("W1", uid, "parallel scene contains only parallel scenes and linkers")
 
-    covered = set()
-    for unit in units.values():
-        covered.update(unit.tokens)
+    covered = extents[root]
     for tok in passage.tokens:
         if not tok.is_punct and tok.position not in covered:
             report(

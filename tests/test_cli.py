@@ -176,6 +176,23 @@ class TestParse:
         assert (code, out) == (2, "")
         assert paths[0] in err and paths[1] in err
 
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        source = tmp_path / "latin1.txt"
+        source.write_bytes("[H [A café] [P closed] ]".encode("latin-1"))
+        code, out, err = run(capsys, "parse", str(source), "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{source}: not valid UTF-8: ")
+        assert len(err.splitlines()) == 1
+
+    def test_unwritable_output_exit_2(self, capsys, tmp_path):
+        # A directory in the way of the output file makes the write fail.
+        target = tmp_path / "01-kicked-ball.ucca.json"
+        target.mkdir()
+        code, out, err = run(capsys, "parse", str(KICKED), "--out-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{target}: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestValidate:
     def test_clean_corpus_file(self, capsys):
@@ -516,6 +533,15 @@ class TestStats:
         assert code == 2
         assert out == ""
         assert "nope.txt" in err
+
+    @pytest.mark.parametrize("keep_going", [False, True])
+    def test_failing_files_stop_or_read_on(self, capsys, tmp_path, keep_going):
+        missing = tmp_path / "nope.txt"
+        argv = ["stats", str(UNBALANCED), str(KICKED), str(missing)]
+        code, out, err = run(capsys, *argv, *(["--keep-going"] if keep_going else []))
+        assert (code, out) == (2, "")
+        named = [line.split(": ", 1)[0] for line in err.splitlines()]
+        assert named == ([str(UNBALANCED), str(missing)] if keep_going else [str(UNBALANCED)])
 
 
 class TestUsage:

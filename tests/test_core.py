@@ -5,8 +5,10 @@ from uccakit import (
     DuplicateId,
     EdgeSpec,
     InvalidRemote,
+    InvalidToken,
     InvalidUnit,
     MultiplePrimaryParents,
+    MultipleRoots,
     NotInternal,
     PrimaryCycle,
     RemoteCycle,
@@ -197,6 +199,63 @@ def test_punctuation_cannot_be_owned():
     edges = [EdgeSpec("r", "t", "H")]
     with pytest.raises(InvalidUnit):
         build_passage(tokens, units, edges)
+
+
+
+# A scene over "a b": root r, scene h, terminals t and u.
+_UNITS = [
+    UnitSpec("r", "internal"),
+    UnitSpec("h", "internal"),
+    UnitSpec("t", "terminal", (0,)),
+    UnitSpec("u", "terminal", (1,)),
+]
+_EDGES = [EdgeSpec("r", "h", "H"), EdgeSpec("h", "t", "P"), EdgeSpec("h", "u", "A")]
+
+
+@pytest.mark.parametrize(
+    "tokens, units, edges, error, message",
+    [
+        (["a"], [], [], InvalidToken, "token 0 is not a Token"),
+        ([Token("a", 1)], [], [], InvalidToken, "token 'a' has position 1, expected 0"),
+        ([Token("", 0)], [], [], InvalidToken, "token 0 has empty text"),
+        (toks("a b"), _UNITS + [UnitSpec("x", "leaf")], _EDGES,
+         InvalidUnit, "unit 'x' has unknown kind 'leaf'"),
+        (toks("a b"), _UNITS, _EDGES + [EdgeSpec("ghost", "t", "A")],
+         DanglingEdge, "edge parent 'ghost' is not a declared unit"),
+        (toks("a b"), _UNITS, _EDGES + [EdgeSpec("r", "u", "A", True)] * 2,
+         InvalidRemote, "duplicate remote edge 'r' -> 'u'"),
+        (toks("a b"), _UNITS, _EDGES + [EdgeSpec("h", "h", "A", True)],
+         InvalidRemote, "remote edge from 'h' to itself"),
+        (toks("a b"), _UNITS + [UnitSpec("s", "internal")], _EDGES,
+         MultipleRoots, "units ['r', 's'] all lack a primary parent; expected exactly one root"),
+        (toks("a b"), _UNITS[:3] + [UnitSpec("u", "terminal")], _EDGES,
+         InvalidUnit, "terminal unit 'u' owns no tokens"),
+        (toks("a b"), _UNITS[:3] + [UnitSpec("u", "terminal", (5,))], _EDGES,
+         InvalidUnit, "unit 'u' claims token position 5, out of range"),
+        (toks("a b"), [_UNITS[0], UnitSpec("h", "internal", (1,))] + _UNITS[2:], _EDGES,
+         InvalidUnit, "internal unit 'h' must not own tokens"),
+        (toks("a b"), _UNITS + [UnitSpec("i", "implicit")],
+         _EDGES[:2] + [EdgeSpec("h", "i", "A"), EdgeSpec("i", "u", "A")],
+         InvalidUnit, "implicit unit 'i' has outgoing edges"),
+        (toks("a b"), _UNITS + [UnitSpec("e", "internal")], _EDGES + [EdgeSpec("h", "e", "A")],
+         InvalidUnit, "internal unit 'e' has no children"),
+        (toks("a"), [UnitSpec("t", "terminal", (0,))], [],
+         InvalidUnit, "root unit 't' must be internal, not terminal"),
+        (toks("a b"), _UNITS, _EDGES + [EdgeSpec("h", "r", "A", True)],
+         InvalidRemote, "remote edge to 'r', which has no primary parent"),
+    ],
+    ids=[
+        "not-a-token", "wrong-position", "empty-text", "unknown-kind", "dangling-parent",
+        "duplicate-remote", "remote-to-itself", "several-roots", "terminal-without-tokens",
+        "position-out-of-range", "internal-owns-tokens", "implicit-with-children",
+        "internal-without-children", "terminal-root", "remote-to-root",
+    ],
+)
+def test_build_error_message(tokens, units, edges, error, message):
+    with pytest.raises(error) as caught:
+        build_passage(tokens, units, edges)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def test_yield_non_contiguous():

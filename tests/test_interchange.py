@@ -196,6 +196,17 @@ class TestWriterMatchesOracle:
         assert b'"tokens": []' in data and b'"edges": [' in data
 
 
+
+class TestUnitOrder:
+    """The writer lays units out as `Passage.units` iterates them."""
+
+    @pytest.mark.parametrize("path", FIXTURE_FILES, ids=lambda p: p.name)
+    def test_parsed_and_reloaded_units_iterate_in_id_order(self, path):
+        for p in fixture_passages(path):
+            for q in (p, from_interchange(to_interchange(p))):
+                assert list(q.units) == [str(i) for i in range(len(q.units))]
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("path", CORPUS, ids=corpus_ids())
     def test_corpus_bytes_idempotent(self, path):

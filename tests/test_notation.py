@@ -25,6 +25,7 @@ from uccakit import (
     parse_passage,
     render,
     split_passages,
+    to_interchange,
     validate,
     yield_of,
 )
@@ -159,6 +160,23 @@ class TestParseBasics:
         with pytest.raises(UnbalancedBrackets) as err:
             parse_passage(source)
         assert err.value.position == source.rindex("]")
+
+    def test_stray_close_paren(self):
+        with pytest.raises(UnbalancedBrackets) as err:
+            parse_passage("[H [A John] ) ]")
+        assert str(err.value) == "byte 12: ')' without a matching '(' (found ')')"
+
+    def test_invalid_combination_fails_at_its_label(self):
+        with pytest.raises(ParseError) as err:
+            parse_passage("[H [P+S x] ]")
+        assert type(err.value) is ParseError
+        assert str(err.value) == "byte 4: P and S cannot appear on the same edge"
+
+    def test_punctuation_only_unit_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_passage("[H [P x] [A ,] ]")
+        assert type(err.value) is ParseError
+        assert str(err.value) == "byte 9: unit covers no text"
 
     def test_unclosed_bracket_points_at_opener(self):
         source = "[H [A John] [P slept]"
@@ -377,6 +395,44 @@ class TestParens:
         with pytest.raises(ParseError):
             parse_passage("[H [A John] [P slept] ([A Mary] A) ]")
 
+    @pytest.mark.parametrize(
+        "tail, error, message",
+        [
+            ("(John ] A) ]", UnbalancedBrackets,
+             "byte 28: ']' inside a round-bracket group (found ']')"),
+            ("(John A", UnbalancedBrackets,
+             "byte 22: round bracket opened here is never closed"
+             " (expected ')', found end of input)"),
+            ("(A) ]", ParseError,
+             "byte 22: round-bracket group needs words and a category, as in (John A)"),
+            ("(John Mary) ]", ParseError,
+             "byte 22: round-bracket group has no category label"
+             " (expected a label first or last, as in (John A))"),
+            ("(John Z) ]", UnknownCategoryLabel, "byte 28: 'Z' is not a known category label"),
+            ("(Z John) ]", UnknownCategoryLabel, "byte 23: 'Z' is not a known category label"),
+        ],
+        ids=["close-bracket", "unclosed", "one-word", "no-label", "unknown-last", "unknown-first"],
+    )
+    def test_malformed_round_bracket_group(self, tail, error, message):
+        with pytest.raises(error) as err:
+            parse_passage(f"[H [A John] [P slept] {tail}")
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_label_first_remote_group(self):
+        first = parse_passage("[H [A John] [P slept] ] [H [P woke] (A John) ]")
+        last = parse_passage("[H [A John] [P slept] ] [H [P woke] (John A) ]")
+        assert any(e.remote for e in first.edges())
+        assert to_interchange(first) == to_interchange(last)
+
+    @pytest.mark.parametrize("label", ["A-", "-A", "A1"])
+    def test_continuation_marks_rejected_in_round_brackets(self, label):
+        with pytest.raises(ParseError) as err:
+            parse_passage(f"[H [A John] [P slept] ] [H [P woke] (John {label}) ]")
+        assert str(err.value) == (
+            "byte 42: continuation marks are not allowed on remote or implicit units"
+        )
+
 
 class TestDeepNesting:
     def test_any_depth_parses_in_preorder(self):
@@ -511,6 +567,30 @@ class TestRender:
         )
         with pytest.raises(RenderError):
             render(p)
+
+    def test_remote_to_implicit_unit_unrenderable(self):
+        p = build_passage(
+            [Token("slept", 0), Token("woke", 1)],
+            [
+                UnitSpec("r", "internal"),
+                UnitSpec("h1", "internal"),
+                UnitSpec("h2", "internal"),
+                UnitSpec("imp", "implicit"),
+                UnitSpec("slept", "terminal", (0,)),
+                UnitSpec("woke", "terminal", (1,)),
+            ],
+            [
+                EdgeSpec("r", "h1", "H"),
+                EdgeSpec("r", "h2", "H"),
+                EdgeSpec("h1", "slept", "P"),
+                EdgeSpec("h1", "imp", "A"),
+                EdgeSpec("h2", "woke", "P"),
+                EdgeSpec("h2", "imp", "A", remote=True),
+            ],
+        )
+        with pytest.raises(RenderError) as err:
+            render(p)
+        assert str(err.value) == "remote target 3 has no surface text to refer to it by"
 
     def test_literal_final_una_word_unrenderable(self):
         # A terminal whose last word is the bare string "UNA" would gain

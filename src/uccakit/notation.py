@@ -387,16 +387,15 @@ def _read_paren(open_tok: NotationToken, toks, labels: dict) -> _RawParen:
     return _RawParen([t.text for t in words], label.cats, open_tok.start)
 
 
-def _resolve(root: _Node) -> tuple[list[_Node], dict[_Node, _Node]]:
+def _resolve(root: _Node) -> dict[_Node, _Node]:
     """Merge each continuation fragment into the fragment that opened it.
 
     Walks the tree depth-first in source order.  A fragment's dashed label
     opens its slot only once the fragment's own children are resolved,
     and a continuation is looked up among the children of its parent
-    unit.  Returns the labeled units in the order their first fragments
-    close, and each one's parent unit.
+    unit.  Returns each labeled unit's parent unit, in the order the
+    units' first fragments open.
     """
-    nodes: list[_Node] = []
     parent: dict[_Node, _Node] = {}
     unfinished: dict[_Node, int] = {}  # opened fragment -> label byte offset
     stack = [(root, iter(root.children), False)]
@@ -408,7 +407,6 @@ def _resolve(root: _Node) -> tuple[list[_Node], dict[_Node, _Node]]:
             stack.pop()
             if not is_new:
                 continue
-            nodes.append(target)
             lab = target.label
             if lab.open_dash:
                 scope = parent[target].scope
@@ -446,7 +444,7 @@ def _resolve(root: _Node) -> tuple[list[_Node], dict[_Node, _Node]]:
             "fragment opened with a trailing dash is never continued",
             position=min(unfinished.values()),
         )
-    return nodes, parent
+    return parent
 
 
 def _minimal_readers(readers, wanted, owner, parent):
@@ -483,25 +481,29 @@ def parse_passage(
     Unlabeled top-level material is wrapped in an implicit root.  Words
     made only of Unicode punctuation enter the token stream but are not
     attached to any unit, and so are words that appear next to child
-    brackets; the validator reports the latter as coverage gaps.
+    brackets or next to round-bracket groups, as "slept" in
+    "[P slept (John A)]"; the validator reports these as coverage gaps.
 
-    Remote groups are resolved against the surface text of every unit in
-    the passage, forwards as well as backwards.  The minimal matching
-    unit is preferred; if several remain, strict mode raises
-    AmbiguousRemote while lenient mode warns through on_warning and picks
-    the nearest preceding match.
+    Remote groups are resolved in source order against the surface text
+    of every unit in the passage, forwards as well as backwards.  The
+    minimal matching unit is preferred; if several remain, strict mode
+    raises AmbiguousRemote while lenient mode warns through on_warning and
+    picks the nearest preceding match.  If the remote edges close a cycle,
+    the error names the first group in source order whose edge closes one.
     """
     root = _parse_tree(source)
-    nodes, parent = _resolve(root)
+    parent = _resolve(root)
+    # Breadth-first from the root; read backwards, children come before parents.
+    order = [root]
+    for node in order:
+        order.extend(node.children)
 
-    word_toks = sorted(
-        [t for n in nodes for t in n.words] + root.words, key=lambda t: t.start
-    )
+    word_toks = sorted([t for n in order for t in n.words], key=lambda t: t.start)
     punct = {text: _is_punct_text(text) for text in {t.text for t in word_toks}}
     stream = [Token(t.text, pos, punct[t.text]) for pos, t in enumerate(word_toks)]
     position_of = {id(t): pos for pos, t in enumerate(word_toks)}
 
-    for node in nodes:
+    for node in parent:
         if not (node.children or node.parens):
             node.kind = TERMINAL
             node.positions = tuple(
@@ -538,23 +540,21 @@ def parse_passage(
             return max(before, key=lambda n: extents[n][0])
         return min(minimal, key=lambda n: extents[n][0])
 
-    # One walk visits each node twice: on entry it takes the next id, and
-    # once its children are done it adds its implicit units and the edge
-    # from its parent.
+    # Each unit's edges go to its children in source order, then to its
+    # implicit units, then (below) to its remote targets.  The spec ids are
+    # arbitrary: build_passage numbers the units in pre-order.
     units: list[UnitSpec] = []
     edges: list[EdgeSpec] = []
-    ids: dict[_Node, str] = {}
+    ids: dict[_Node, str] = {}  # children before parents
     remote_requests: list[tuple[_Node, _RawParen]] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node not in ids:
-            ids[node] = f"t{len(units)}"
-            units.append(UnitSpec(ids[node], node.kind, node.positions))
-            stack.append(node)
-            stack.extend(reversed(node.children))
-            continue
-        uid = ids[node]
+    for node in reversed(order):
+        uid = ids[node] = f"t{len(units)}"
+        units.append(UnitSpec(uid, node.kind, node.positions))
+        for child in node.children:
+            cats = child.label.cats
+            if child.una and UNA_MARKER not in cats:
+                cats = CategorySet(list(cats) + [UNA_MARKER])
+            edges.append(EdgeSpec(uid, ids[child], cats))
         for paren in node.parens:
             if paren.words == [IMPLICIT_MARKER]:
                 imp_id = f"t{len(units)}"
@@ -562,20 +562,16 @@ def parse_passage(
                 edges.append(EdgeSpec(uid, imp_id, paren.cats))
             else:
                 remote_requests.append((node, paren))
-        if node is not root:
-            cats = node.label.cats
-            if node.una and UNA_MARKER not in cats:
-                cats = CategorySet(list(cats) + [UNA_MARKER])
-            edges.append(EdgeSpec(ids[parent[node]], uid, cats))
 
     if remote_requests:
-        # Only a node with as many words as a remote text can read it.  Children
-        # come before parents in reverse pre-order; only short nodes list positions.
+        remote_requests.sort(key=lambda request: request[1].start)
+        # Only a node with as many words as a remote text can read it, and
+        # only short nodes list their positions.
         lengths = {len(paren.words) for _, paren in remote_requests}
         longest = max(lengths)
         size: dict[_Node, int] = {}
         extents: dict[_Node, list[int]] = {}
-        for node in reversed(ids):
+        for node in ids:
             size[node] = len(node.positions) + sum(size[c] for c in node.children)
             if size[node] <= longest:
                 below = [pos for c in node.children for pos in extents[c]]
@@ -587,7 +583,8 @@ def parse_passage(
                 readers.setdefault(text, []).append(node)
         word_starts = [t.start for t in word_toks]
 
-    remotes: dict[tuple[_Node, _Node], _RawParen] = {}
+    primary = len(edges)
+    remotes: dict[tuple[_Node, _Node], _RawParen] = {}  # in source order
     for owner, paren in remote_requests:
         target = resolve_remote(owner, paren)
         if (owner, target) in remotes:
@@ -599,37 +596,29 @@ def parse_passage(
         edges.append(EdgeSpec(ids[owner], ids[target], paren.cats, remote=True))
 
     try:
-        return build_passage(
-            stream, units, edges, passage_id=passage_id, require_coverage=False
-        )
+        return build_passage(stream, units, edges, passage_id=passage_id, require_coverage=False)
     except RemoteCycle:
-        paren = _cycle_closer(remotes)
-        raise ParseError(
-            f"the remote group reading {' '.join(paren.words)!r} closes a cycle of edges",
-            position=paren.start,
-        ) from None
+        pass
 
+    # Blame the first group, in source order, that closes a cycle with the
+    # primary edges and the groups before it: the last of the shortest prefix
+    # that still fails to build.  Each later group becomes an edge to a new
+    # implicit unit, which keeps its owner's edges and closes no cycle.
+    def closes_cycle(k: int) -> bool:
+        later = [EdgeSpec(e.parent, f"r{j}", e.categories) for j, e in enumerate(edges[k:])]
+        stand_ins = [UnitSpec(e.child, IMPLICIT) for e in later]
+        try:
+            build_passage(stream, units + stand_ins, edges[:k] + later, require_coverage=False)
+        except RemoteCycle:
+            return True
+        return False
 
-def _cycle_closer(remotes: dict[tuple[_Node, _Node], _RawParen]) -> _RawParen:
-    """The first remote group, in source order, whose edge closes a cycle
-    with the primary edges and the remote edges of the groups before it.
-
-    `remotes` maps (owner, target) to the group, in source order, and its
-    edges must form a cycle, or there is no such group.
-    """
-    targets: dict[_Node, list[_Node]] = {}
-    for (owner, target), paren in remotes.items():
-        seen = set()
-        stack = [target]
-        while stack:
-            node = stack.pop()
-            if node is owner:
-                return paren
-            if node not in seen:
-                seen.add(node)
-                stack.extend(node.children)
-                stack.extend(targets.get(node, ()))
-        targets.setdefault(owner, []).append(target)
+    blamed = bisect_left(range(primary + 1, len(edges)), True, key=closes_cycle)
+    paren = list(remotes.values())[blamed]
+    raise ParseError(
+        f"the remote group reading {' '.join(paren.words)!r} closes a cycle of edges",
+        position=paren.start,
+    )
 
 
 def split_passages(text: str) -> list[str]:
@@ -733,13 +722,19 @@ class _Renderer:
             out.append(glue + tok.text)
             glue = ""
             for uid, k in reversed(closes[pos]):
+                label = unwritten.pop()
                 if k == 0 and uid in una:
                     out.append(UNA_MARKER)
                 elif p.units[uid].kind == TERMINAL and tok.text == UNA_MARKER:
                     raise RenderError(
                         f"unit {uid} ends with the literal word 'UNA', which the notation reserves"
                     )
-                label = unwritten.pop()
+                elif label is None and out[-2] == UNA_MARKER and _classify(out[-1]) == LABEL:
+                    # A terminal with its label written first would end "UNA <label>]".
+                    raise RenderError(
+                        f"unit {uid} ends with the literal words 'UNA {tok.text}', which the"
+                        " notation reads as the unanalyzable mark and a label"
+                    )
                 if label is not None:
                     out.append(label)
                 if k == len(frags[uid]) - 1:
@@ -793,7 +788,7 @@ class _Renderer:
                         "remote target reads 'IMP', which the notation reserves"
                     )
                 self._check_unambiguous(uid, e.child, text)
-                out.append(f"({' '.join(text)} {self._label_text(e)})")
+                out.append(f"({' '.join(text)} {e.categories.notation()})")
             elif p.units[e.child].kind == IMPLICIT:
                 out.append(f"({IMPLICIT_MARKER} {e.categories.notation()})")
         return out

@@ -1,10 +1,16 @@
-"""Hypothesis generators for random well-formed passages.
+"""Hypothesis generators for random well-formed passages, and for bracket text.
 
 Passages are built top-down by partitioning token positions among
 children, so primary edges always form a tree and every build succeeds.
 Token texts within a passage are distinct, which keeps remote-target
 references unambiguous when a passage is rendered back to text.
+
+`bracket_sources` draws text instead: token soup, or nested groups with
+dashed, indexed, `UNA` and `IMP` pieces and round-bracket groups, over a
+few words that also spell labels and markers, so that much of it parses.
 """
+
+import re
 
 from hypothesis import strategies as st
 
@@ -133,3 +139,79 @@ def _add_remotes(draw, units, edges, internal_ids):
         label = draw(st.sampled_from(["A", "P", "S", "C", "E"]))
         edges.append(EdgeSpec(parent, target, label, True))
         added.add((parent, target))
+
+
+# Words that repeat, so that remote groups resolve and become ambiguous;
+# the rough mix adds words that spell labels, markers and punctuation.
+CLEAN_WORDS = ["ann", "bo", "cy", "dee", ","]
+ROUGH_WORDS = CLEAN_WORDS + ["ann", "bo", ".", "UNA", "IMP", "A", "C", "H"]
+LABEL_PIECES = PLAIN_LABELS + COMBO_LABELS + [
+    "A-", "-A", "A1-", "-A1", "A2-", "-A2", "P-", "-P", "UNA", "IMP", "Z", "-A-",
+]
+
+
+def _labelled(draw, label, items):
+    return [label, *items] if draw(st.integers(0, 3)) else [*items, label]
+
+
+def _groups(words, label_pieces, implicit_only):
+    """Strategies for round-bracket groups and for nested bracket groups.
+
+    With implicit_only every round-bracket group is implicit, and the
+    remote groups come from `bracket_sources`, which aims them at text
+    that some bracket holds.
+    """
+
+    @st.composite
+    def round_group(draw):
+        if implicit_only or draw(st.integers(0, 3)) == 0:
+            items = ["IMP"]
+        else:
+            items = draw(st.lists(words, max_size=3))
+        return "(" + " ".join(_labelled(draw, draw(label_pieces), items)) + ")"
+
+    def bracket(inner):
+        @st.composite
+        def group(draw):
+            items = draw(st.lists(inner, min_size=1, max_size=4))
+            if draw(st.integers(0, 4)) == 0:
+                items.append("UNA")
+            items = _labelled(draw, draw(label_pieces), items)
+            items += [draw(round_group()) for _ in range(max(0, draw(st.integers(-3, 2))))]
+            return "[" + " ".join(items) + "]"
+
+        return group()
+
+    return round_group(), st.recursive(words, bracket, max_leaves=10)
+
+
+_CLEAN = _groups(st.sampled_from(CLEAN_WORDS), labels, True)
+_ROUGH = _groups(
+    st.sampled_from(ROUGH_WORDS), st.one_of(labels, st.sampled_from(LABEL_PIECES)), False
+)
+_soup = st.lists(
+    st.sampled_from(ROUGH_WORDS + LABEL_PIECES + ["[", "]", "(", ")", "[A", "x]"]),
+    max_size=16,
+)
+
+
+@st.composite
+def bracket_sources(draw):
+    """Bracket text, well-formed or not, for the parser's two-outcome contract."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return " ".join(draw(_soup))
+    round_group, nested = _CLEAN if kind > 1 else _ROUGH
+    pieces = draw(st.lists(nested, min_size=1, max_size=4))
+    text = " ".join(pieces + draw(st.lists(round_group, max_size=1)))
+    # Remote groups reading the words of an innermost bracket, each at the
+    # end of some bracket or of the text, so that references often resolve.
+    reads = {
+        " ".join(w for w in inner.split() if w.islower())
+        for inner in re.findall(r"\[([^][()]*)\]", text)
+    } - {""}
+    for _ in range(draw(st.integers(0, 2)) if reads else 0):
+        at = draw(st.sampled_from([m.start() for m in re.finditer(r"\]", text)] + [len(text)]))
+        group = f" ({draw(st.sampled_from(sorted(reads)))} {draw(labels)})"
+        text = text[:at] + group + text[at:]
+    return text

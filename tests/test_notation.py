@@ -317,6 +317,26 @@ class TestParens:
         assert err.value.position == 10
         assert str(err.value) == "byte 10: no unit reads 'x'"
 
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_first_remote_in_source_reported_across_fragments(self, lenient):
+        # '(s A)' belongs to a unit inside the continuation '[-A ...]', so a
+        # walk over the merged units meets it before '[P ...]'; the groups
+        # resolve in source order all the same.
+        source = "[H [A- [E [C x] (y A)]] [P [C y] (r A)] [-A [E [C z] (s A)]]]"
+        with pytest.raises(UnresolvedRemote) as err:
+            parse_passage(source, lenient_remotes=lenient)
+        assert str(err.value) == "byte 33: no unit reads 'r'"
+
+    def test_words_beside_round_bracket_group_are_a_coverage_gap(self):
+        # The group makes '[P ...]' a non-terminal, so 'slept' belongs to no unit.
+        p = parse_passage("[H [A John] [P slept (John A)]]")
+        assert [t.text for t in p.tokens] == ["John", "slept"]
+        assert p.extents[p.root] == frozenset({0})
+        assert [(d.rule, d.unit) for d in validate(p)] == [("R10", "0"), ("R6", "3")]
+        with pytest.raises(RenderError) as err:
+            render(p)
+        assert str(err.value) == "unit 3 covers no tokens and cannot be written"
+
     def test_ambiguous_remote_strict_and_lenient(self):
         source = (EDGE_DIR / "ambiguous-remote.txt").read_text()
         with pytest.raises(AmbiguousRemote):
@@ -362,6 +382,29 @@ class TestParens:
         with pytest.raises(ParseError) as err:
             parse_passage(source, lenient_remotes=lenient)
         assert type(err.value) is ParseError
+        assert str(err.value) == "byte 42: the remote group reading 'a b' closes a cycle of edges"
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_remote_cycle_blames_first_closing_group(self, lenient):
+        # The groups at byte 50 and at byte 74 each close a cycle with the
+        # first scene; the first of them in source order is named.
+        source = (
+            "[H [P [C a] [E b] (c d A) (e f A)] [S [C c] [E d] (a b A)]"
+            " [S [C e] [E f] (a b A)]]"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_passage(source, lenient_remotes=lenient)
+        assert type(err.value) is ParseError
+        assert str(err.value) == "byte 50: the remote group reading 'a b' closes a cycle of edges"
+
+    def test_remote_cycle_blame_with_a_later_remote_only_unit(self):
+        # '[D f (a b A)]' has only its remote edge, and its group comes after
+        # the one that closes the cycle.
+        source = (
+            "[H [P [C a] [E b] (c d A)] [S [C c] [E d] (a b A)]] [H [A e] [D f (a b A)]]"
+        )
+        with pytest.raises(ParseError) as err:
+            parse_passage(source)
         assert str(err.value) == "byte 42: the remote group reading 'a b' closes a cycle of edges"
 
     def test_remote_cycle_through_a_primary_edge(self):
@@ -602,6 +645,49 @@ class TestRender:
         )
         with pytest.raises(RenderError):
             render(p)
+
+    @pytest.mark.parametrize(
+        "source, side, expected",
+        [
+            ("[H [x UNA C A] [P y]]", "right", "[[x UNA C A] [y P] H]"),
+            ("[H [x UNA C UNA A] [P y]]", "left", "[H [A x UNA C UNA] [P y]]"),
+            ("[H [x UNA C UNA A] [P y]]", "right", "[[x UNA C UNA A] [y P] H]"),
+        ],
+    )
+    def test_literal_una_before_label_word_renders_when_unambiguous(
+        self, source, side, expected
+    ):
+        p = parse_passage(source)
+        assert render(p, side) == expected
+        assert isomorphic(p, parse_passage(expected))
+
+    @pytest.mark.parametrize(
+        "source, side, unit, words",
+        [
+            ("[H [x UNA C A] [P y]]", "left", "2", "UNA C"),
+            # A label-shaped first word puts the label first on either side.
+            ("C [P+A UNA A , ,]", "left", "1", "UNA A"),
+            ("C [P+A UNA A , ,]", "right", "1", "UNA A"),
+        ],
+    )
+    def test_literal_una_before_label_word_unrenderable(self, source, side, unit, words):
+        # Written "[A x UNA C]", the last two words would read back as the
+        # unanalyzable mark and the label.
+        p = parse_passage(source)
+        assert p.text_of(unit).endswith(words)
+        with pytest.raises(RenderError) as err:
+            render(p, side)
+        assert str(err.value) == (
+            f"unit {unit} ends with the literal words {words!r}, which the notation"
+            " reads as the unanalyzable mark and a label"
+        )
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_remote_group_keeps_una(self, side):
+        p = parse_passage("[H [A John] [P slept]] [H [P woke] (John A+UNA)]")
+        out = render(p, side)
+        assert "(John A+UNA)" in out
+        assert isomorphic(p, parse_passage(out))
 
     @pytest.mark.parametrize(
         "make",

@@ -10,6 +10,8 @@ from uccakit import (
     CategoryCounts,
     CategorySet,
     EdgeSpec,
+    RenderError,
+    UccaError,
     UnitSpec,
     build_passage,
     from_interchange,
@@ -26,7 +28,7 @@ from uccakit import (
 from uccakit.validation import list_rules
 
 from conftest import CORPUS, corpus_ids
-from strategies import COMBO_LABELS, PLAIN_LABELS, passages
+from strategies import COMBO_LABELS, PLAIN_LABELS, bracket_sources, passages
 
 
 @given(passages())
@@ -226,3 +228,36 @@ def test_isomorphic_matches_recursive_reference(p, other, rng):
     for q in candidates:
         assert isomorphic(p, q) == reference_isomorphic(p, q)
         assert isomorphic(q, p) == reference_isomorphic(q, p)
+
+
+def parse_text(source, lenient):
+    """The passage `source` spells, or None if it raises a `UccaError`;
+    any other exception fails the test."""
+    try:
+        return parse_passage(source, lenient_remotes=lenient, on_warning=lambda _: None)
+    except UccaError:
+        return None
+
+
+@settings(max_examples=400)
+@given(bracket_sources(), st.booleans())
+def test_text_gives_a_passage_or_ucca_error(source, lenient):
+    p = parse_text(source, lenient)
+    if p is not None:
+        validate(p)
+        stats(p)
+        score(p, p)
+        data = to_interchange(p)
+        assert to_interchange(from_interchange(data)) == data
+
+
+@settings(max_examples=400)
+@given(bracket_sources(), st.sampled_from(["left", "right"]))
+def test_text_renders_back_isomorphic_or_raises(source, side):
+    p = parse_text(source, lenient=True)
+    if p is not None:
+        try:
+            text = render(p, side)
+        except RenderError:
+            return
+        assert isomorphic(p, parse_passage(text))

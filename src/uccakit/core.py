@@ -317,6 +317,8 @@ def build_passage(
             parents = ", ".join(repr(e.parent) for e in incoming)
             raise MultiplePrimaryParents(f"unit {uid!r} has primary parents {parents}")
 
+    if not specs:
+        raise InvalidUnit("passage has no units; expected one internal root")
     roots = [uid for uid in specs if not primary_in[uid]]
     if not roots:
         raise PrimaryCycle("no unit without a primary parent; the primary edges form a cycle")
@@ -338,6 +340,9 @@ def build_passage(
                     raise InvalidUnit(
                         f"unit {uid!r} claims punctuation token {tokens[pos].text!r}"
                     )
+            if len(spec.tokens) > 1 and len(set(spec.tokens)) < len(spec.tokens):
+                pos = next(p for i, p in enumerate(spec.tokens) if p in spec.tokens[:i])
+                raise InvalidUnit(f"terminal unit {uid!r} lists token position {pos} twice")
         else:
             if spec.tokens:
                 raise InvalidUnit(f"{spec.kind} unit {uid!r} must not own tokens")
@@ -368,7 +373,8 @@ def build_passage(
     while stack:
         uid = stack.pop()
         rename[uid] = str(len(rename))
-        stack.extend([e.child for e in reversed(outgoing[uid]) if not e.remote])
+        if outgoing[uid]:
+            stack.extend([e.child for e in reversed(outgoing[uid]) if not e.remote])
     if len(rename) != len(specs):
         missing = sorted(set(specs) - rename.keys())
         raise PrimaryCycle(f"units {missing!r} are not reachable from the root")
@@ -392,26 +398,35 @@ def build_passage(
                     f"token {tok.text!r} (position {tok.position}) belongs to no unit"
                 )
 
+    units = []
+    for old, new in rename.items():
+        spec = specs[old]
+        edges = [Edge(new, rename[e.child], e.categories, e.remote) for e in outgoing[old]]
+        units.append((new, spec.kind, spec.tokens, edges))
+    return _assemble(passage_id, tokens, units)
+
+
+def _assemble(passage_id, tokens, units) -> Passage:
+    """The passage of `units`, which checks nothing.  Each unit is
+    (id, kind, positions, outgoing); the units come in pre-order over
+    primary edges with the ids "0"..."n-1", and outgoing holds a unit's
+    `Edge`s in child order."""
     final_units: dict[str, Unit] = {}
     primary_parent: dict[str, Edge] = {}
     remote_parents: dict[str, list[Edge]] = {}
-    for old, new in rename.items():
-        new_edges = tuple(
-            [Edge(new, rename[e.child], e.categories, e.remote) for e in outgoing[old]]
-        )
-        for e in new_edges:
+    for uid, kind, positions, outgoing in units:
+        for e in outgoing:
             if e.remote:
                 remote_parents.setdefault(e.child, []).append(e)
             else:
                 primary_parent[e.child] = e
-        spec = specs[old]
-        final_units[new] = Unit(new, spec.kind, frozenset(spec.tokens), new_edges)
+        final_units[uid] = Unit(uid, kind, frozenset(positions), tuple(outgoing))
 
     extents: dict[str, frozenset[int]] = {}
-    for uid in reversed(list(final_units)):
+    for uid in reversed(final_units):
         unit = final_units[uid]
         if unit.kind == TERMINAL:
-            extents[uid] = frozenset(unit.tokens)
+            extents[uid] = unit.tokens
         else:
             agg: set[int] = set()
             for e in unit.outgoing:
@@ -419,15 +434,8 @@ def build_passage(
                     agg.update(extents[e.child])
             extents[uid] = frozenset(agg)
 
-    return Passage(
-        passage_id,
-        tokens,
-        final_units,
-        rename[root],
-        primary_parent,
-        {k: tuple(v) for k, v in remote_parents.items()},
-        extents,
-    )
+    remotes = {k: tuple(v) for k, v in remote_parents.items()}
+    return Passage(passage_id, tokens, final_units, "0", primary_parent, remotes, extents)
 
 
 def _check_dag(specs, outgoing) -> None:

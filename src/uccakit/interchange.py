@@ -7,6 +7,11 @@ canonical: UTF-8, sorted keys, two-space indent, a single trailing
 newline, tokens in position order, units and edges sorted by id.  Two
 equal passages therefore serialize to identical bytes, and serializing a
 just-deserialized document reproduces its bytes exactly.
+
+A document whose units are already "0"..."n-1" in pre-order, as the writer
+leaves them, loads in one checked pass; any other document goes through
+`build_passage`, which renumbers it, and a document that fails a check
+goes there too, so that every error is the one `build_passage` raises.
 """
 
 from __future__ import annotations
@@ -20,11 +25,15 @@ from .core import (
     IMPLICIT,
     INTERNAL,
     TERMINAL,
+    Edge,
     EdgeSpec,
     Passage,
+    RemoteCycle,
     Token,
     UccaError,
     UnitSpec,
+    _assemble,
+    _check_dag,
     build_passage,
     id_key,
 )
@@ -162,20 +171,23 @@ def from_interchange(data: bytes | str) -> Passage:
             _fail(f"token {i}: 'is_punct' must be a boolean")
         tokens.append(Token(text, i, is_punct))
 
+    # Decoded JSON holds exact types, so `type(x) is str` is the isinstance
+    # test; `_field` is called only to raise its message.
     raw_units = _field(doc, "units", list, "document")
     units = []
     for i, entry in enumerate(raw_units):
         if not isinstance(entry, dict):
             _fail(f"unit {i} must be an object")
-        uid = _field(entry, "id", str, "unit", i)
-        kind = _field(entry, "kind", str, "unit", i)
-        if kind not in (TERMINAL, INTERNAL, IMPLICIT):
+        uid, kind = entry.get("id"), entry.get("kind")
+        if type(uid) is not str or kind not in (TERMINAL, INTERNAL, IMPLICIT):
+            _field(entry, "id", str, "unit", i)
+            _field(entry, "kind", str, "unit", i)
             _fail(f"unit {uid!r} has unknown kind {kind!r}")
         positions = entry.get("tokens", [])
-        # Decoded JSON holds exact types, so this excludes bools too.
-        if not isinstance(positions, list) or not all(type(p) is int for p in positions):
+        # The exact type test excludes bools too.
+        if type(positions) is not list or positions and not all(type(p) is int for p in positions):
             _fail(f"unit {uid!r}: 'tokens' must be a list of integers")
-        units.append(UnitSpec(uid, kind, tuple(positions)))
+        units.append((uid, kind, positions))
 
     raw_edges = _field(doc, "edges", list, "document")
     edges = []
@@ -184,9 +196,10 @@ def from_interchange(data: bytes | str) -> Passage:
     for i, entry in enumerate(raw_edges):
         if not isinstance(entry, dict):
             _fail(f"edge {i} must be an object")
-        parent = _field(entry, "parent", str, "edge", i)
-        child = _field(entry, "child", str, "edge", i)
-        labels = _field(entry, "categories", list, "edge", i)
+        parent, child, labels = entry.get("parent"), entry.get("child"), entry.get("categories")
+        if type(parent) is not str or type(child) is not str or type(labels) is not list:
+            for key, kind in (("parent", str), ("child", str), ("categories", list)):
+                _field(entry, key, kind, "edge", i)
         remote = entry.get("remote", False)
         if not isinstance(remote, bool):
             _fail(f"edge {i}: 'remote' must be a boolean")
@@ -200,11 +213,82 @@ def from_interchange(data: bytes | str) -> Passage:
                 _fail(f"edge {i}: {exc}")
             # Only strings from the inventory get here, so key is hashable.
             category_sets[key] = categories
-        edges.append(EdgeSpec(parent, child, categories, remote))
+        edges.append((parent, child, categories, remote))
 
+    tokens = tuple(tokens)
+    passage = _load_in_preorder(passage_id, tokens, units, edges)
+    if passage is not None:
+        return passage
     # Sorting primary edges by child id recreates each unit's child order
     # for documents we wrote, since pre-order numbering follows it.
-    edges.sort(key=lambda e: (id_key(e.parent), id_key(e.child)))
-    return build_passage(
-        tokens, units, edges, passage_id=passage_id, require_coverage=False
-    )
+    edges.sort(key=lambda e: (id_key(e[0]), id_key(e[1])))
+    units = [UnitSpec(uid, kind, tuple(positions)) for uid, kind, positions in units]
+    edges = [EdgeSpec(*e) for e in edges]
+    return build_passage(tokens, units, edges, passage_id=passage_id, require_coverage=False)
+
+
+def _load_in_preorder(passage_id, tokens, units, edges) -> Passage | None:
+    """The passage of a document whose units are "0"..."n-1" in pre-order,
+    or None if they are not or if `build_passage` would raise: one pass over
+    the edges and one over the units make every check it makes on them."""
+    n = len(units)
+    ids = [uid for uid, _, _ in units]
+    if not n or ids != list(map(str, range(n))) or not all([t.text for t in tokens]):
+        return None
+    index = dict(zip(ids, range(n)))
+    outgoing: list[list[Edge]] = [[] for _ in ids]
+    parent_of: list[int | None] = [None] * n
+    remotes = set()
+    # The writer lists edges by parent, then child; other orders are sorted.
+    last = unsorted = 0
+    for parent, child, categories, remote in edges:
+        p, c = index.get(parent), index.get(child)
+        if p is None or c is None:
+            return None
+        if remote:
+            if p == c or (p, c) in remotes:
+                return None
+            remotes.add((p, c))
+        elif parent_of[c] is None:
+            parent_of[c] = p
+        else:
+            return None
+        key = p * n + c
+        unsorted += key < last
+        last = key
+        outgoing[p].append(Edge(parent, child, categories, remote))
+    if unsorted:
+        for out in outgoing:
+            out.sort(key=lambda e: index[e.child])
+    if any(parent_of[c] in (None, p) for p, c in remotes):
+        return None
+    if units[0][1] != INTERNAL or parent_of[0] is not None:
+        return None
+
+    # Ids are in pre-order exactly when each unit's primary parent lies on
+    # the path from the root to the unit before it.
+    path: list[int] = []
+    claimed = bytearray(len(tokens))
+    for i, (_, kind, positions) in enumerate(units):
+        parent = parent_of[i]
+        while path and path[-1] != parent:
+            path.pop()
+        if i and not path:
+            return None
+        path.append(i)
+        out = outgoing[i]
+        if kind == TERMINAL:
+            if out or not positions:
+                return None
+            for pos in positions:
+                if not 0 <= pos < len(tokens) or tokens[pos].is_punct or claimed[pos]:
+                    return None
+                claimed[pos] = 1
+        elif positions or (kind == IMPLICIT and out) or (kind == INTERNAL and i and not out):
+            return None
+    if remotes:
+        try:
+            _check_dag(ids, dict(zip(ids, outgoing)))
+        except RemoteCycle:
+            return None
+    return _assemble(passage_id, tokens, [(*unit, out) for unit, out in zip(units, outgoing)])

@@ -5,16 +5,18 @@ children, so primary edges always form a tree and every build succeeds.
 Token texts within a passage are distinct, which keeps remote-target
 references unambiguous when a passage is rendered back to text.
 
+`mutated_documents` edits the interchange documents of such passages.
 `bracket_sources` draws text instead: token soup, or nested groups with
 dashed, indexed, `UNA` and `IMP` pieces and round-bracket groups, over a
 few words that also spell labels and markers, so that much of it parses.
 """
 
+import json
 import re
 
 from hypothesis import strategies as st
 
-from uccakit import EdgeSpec, Token, UnitSpec, build_passage
+from uccakit import EdgeSpec, Token, UnitSpec, build_passage, canonical_json_bytes, to_interchange
 
 WORD_POOL = [
     "alder", "birch", "cedar", "dogwood", "elm", "fir", "ginkgo", "hazel",
@@ -215,3 +217,83 @@ def bracket_sources(draw):
         group = f" ({draw(st.sampled_from(sorted(reads)))} {draw(labels)})"
         text = text[:at] + group + text[at:]
     return text
+
+
+def _rename(doc, old, new):
+    for unit in doc["units"]:
+        if unit["id"] == old:
+            unit["id"] = new
+    for edge in doc["edges"]:
+        for end in ("parent", "child"):
+            if edge[end] == old:
+                edge[end] = new
+
+
+def _mutate(draw, doc):
+    """One edit to a document.  Renaming, swapping or reordering keeps it
+    valid but off the writer's pre-order ids; the other edits may break a
+    structural rule."""
+    units, edges, tokens = doc["units"], doc["edges"], doc["tokens"]
+    ids = [u["id"] for u in units]
+    edit = draw(st.sampled_from([
+        "rename", "swap", "shuffle units", "shuffle edges", "reverse edges", "drop edge",
+        "add edge", "repeat edge", "flip remote", "set kind", "flip punct", "add position",
+        "empty text", "remote cycle", "no units",
+    ]))
+    if edit == "rename" and ids:
+        _rename(doc, draw(st.sampled_from(ids)), draw(st.sampled_from(["x", "07", "99", "1 "])))
+    elif edit == "swap" and len(ids) > 1:
+        a, b = draw(st.permutations(ids))[:2]
+        _rename(doc, a, "swap")
+        _rename(doc, b, a)
+        _rename(doc, "swap", b)
+    elif edit == "shuffle units":
+        doc["units"] = draw(st.permutations(units))
+    elif edit == "shuffle edges":
+        doc["edges"] = draw(st.permutations(edges))
+    elif edit == "reverse edges":
+        edges.reverse()
+    elif edit == "drop edge" and edges:
+        del edges[draw(st.integers(0, len(edges) - 1))]
+    elif edit == "add edge" and ids:
+        edges.append({
+            "categories": [draw(st.sampled_from(["A", "C", "H"]))],
+            "child": draw(st.sampled_from(ids + ["ghost"])),
+            "parent": draw(st.sampled_from(ids)),
+            "remote": draw(st.booleans()),
+        })
+    elif edit == "repeat edge" and edges:
+        edges.append(dict(draw(st.sampled_from(edges)), remote=draw(st.booleans())))
+    elif edit == "flip remote" and edges:
+        edge = draw(st.sampled_from(edges))
+        edge["remote"] = not edge["remote"]
+    elif edit == "set kind" and units:
+        kind = draw(st.sampled_from(["terminal", "internal", "implicit"]))
+        draw(st.sampled_from(units))["kind"] = kind
+    elif edit == "flip punct":
+        token = draw(st.sampled_from(tokens))
+        token["is_punct"] = not token["is_punct"]
+    elif edit == "add position" and units:
+        terminals = [u for u in units if u["kind"] == "terminal"] or units
+        draw(st.sampled_from(terminals))["tokens"].append(draw(st.integers(0, len(tokens))))
+    elif edit == "empty text":
+        draw(st.sampled_from(tokens))["text"] = ""
+    elif edit == "remote cycle":
+        # A remote edge back from an internal unit to its non-root parent.
+        parent = {e["child"]: e["parent"] for e in edges if not e["remote"]}
+        internal = {u["id"] for u in units if u["kind"] == "internal"}
+        pairs = sorted((c, p) for c, p in parent.items() if c in internal and p in parent)
+        if pairs:
+            child, back = draw(st.sampled_from(pairs))
+            edges.append({"categories": ["A"], "child": back, "parent": child, "remote": True})
+    elif edit == "no units":
+        doc["units"] = []
+
+
+@st.composite
+def mutated_documents(draw):
+    """The interchange bytes of a generated passage after one to three edits."""
+    doc = json.loads(to_interchange(draw(passages(max_tokens=6))))
+    for _ in range(draw(st.integers(1, 3))):
+        _mutate(draw, doc)
+    return canonical_json_bytes(doc)

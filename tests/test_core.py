@@ -243,12 +243,16 @@ _EDGES = [EdgeSpec("r", "h", "H"), EdgeSpec("h", "t", "P"), EdgeSpec("h", "u", "
          InvalidUnit, "root unit 't' must be internal, not terminal"),
         (toks("a b"), _UNITS, _EDGES + [EdgeSpec("h", "r", "A", True)],
          InvalidRemote, "remote edge to 'r', which has no primary parent"),
+        ([], [], [], InvalidUnit, "passage has no units; expected one internal root"),
+        (toks("a b"), _UNITS[:2] + [UnitSpec("t", "terminal", (0, 0)), _UNITS[3]], _EDGES,
+         InvalidUnit, "terminal unit 't' lists token position 0 twice"),
     ],
     ids=[
         "not-a-token", "wrong-position", "empty-text", "unknown-kind", "dangling-parent",
         "duplicate-remote", "remote-to-itself", "several-roots", "terminal-without-tokens",
         "position-out-of-range", "internal-owns-tokens", "implicit-with-children",
-        "internal-without-children", "terminal-root", "remote-to-root",
+        "internal-without-children", "terminal-root", "remote-to-root", "no-units",
+        "position-listed-twice",
     ],
 )
 def test_build_error_message(tokens, units, edges, error, message):

@@ -7,6 +7,7 @@ from uccakit import (
     FILE_EXTENSION,
     FORMAT_VERSION,
     EdgeSpec,
+    InvalidUnit,
     MalformedDocument,
     Token,
     UccaError,
@@ -325,6 +326,23 @@ class TestRejects:
         doc["edges"][1]["remote"] = "yes"
         with pytest.raises(MalformedDocument, match="remote"):
             from_interchange(canonical_json_bytes(doc))
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (small_doc(units=[], edges=[]), "passage has no units; expected one internal root"),
+            (small_doc(units=[{"id": "0", "kind": "internal", "tokens": []},
+                              {"id": "1", "kind": "internal", "tokens": []},
+                              {"id": "2", "kind": "terminal", "tokens": [0, 0]}]),
+             "terminal unit '2' lists token position 0 twice"),
+        ],
+        ids=["no-units", "position-listed-twice"],
+    )
+    def test_unit_table_faults(self, doc, message):
+        with pytest.raises(InvalidUnit) as info:
+            from_interchange(doc)
+        assert type(info.value) is InvalidUnit
+        assert str(info.value) == message
 
     def test_structural_problems_use_build_errors(self):
         from uccakit import BuildError

@@ -1,4 +1,9 @@
+import contextlib
+import io
+import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,7 @@ from uccakit import (
     CategorySet,
     EdgeSpec,
     RenderError,
+    Token,
     UccaError,
     UnitSpec,
     build_passage,
@@ -25,10 +31,18 @@ from uccakit import (
     validate,
     yield_of,
 )
+from uccakit.cli import main
+from uccakit.core import id_key
 from uccakit.validation import list_rules
 
 from conftest import CORPUS, corpus_ids
-from strategies import COMBO_LABELS, PLAIN_LABELS, bracket_sources, passages
+from strategies import (
+    COMBO_LABELS,
+    PLAIN_LABELS,
+    bracket_sources,
+    mutated_documents,
+    passages,
+)
 
 
 @given(passages())
@@ -261,3 +275,49 @@ def test_text_renders_back_isomorphic_or_raises(source, side):
         except RenderError:
             return
         assert isomorphic(p, parse_passage(text))
+
+
+def reference_load(data):
+    """`build_passage` on a document's tables in document order, edges
+    sorted by id: the oracle for `from_interchange`, which checks documents
+    in the writer's pre-order in a pass of its own."""
+    doc = json.loads(data)
+    tokens = [Token(t["text"], i, t["is_punct"]) for i, t in enumerate(doc["tokens"])]
+    units = [UnitSpec(u["id"], u["kind"], tuple(u["tokens"])) for u in doc["units"]]
+    edges = [EdgeSpec(e["parent"], e["child"], e["categories"], e["remote"]) for e in doc["edges"]]
+    edges.sort(key=lambda e: (id_key(e.parent), id_key(e.child)))
+    return build_passage(tokens, units, edges, passage_id=doc["id"], require_coverage=False)
+
+
+def load_outcome(load, data):
+    try:
+        p = load(data)
+    except UccaError as exc:
+        return type(exc), str(exc)
+    return (
+        to_interchange(p),
+        list(p.units.items()),
+        {uid: p.incoming(uid) for uid in p.units},
+        dict(p.extents),
+    )
+
+
+@settings(max_examples=400)
+@given(mutated_documents())
+def test_interchange_loads_as_build_passage_does(data):
+    assert load_outcome(from_interchange, data) == load_outcome(reference_load, data)
+
+
+@settings(max_examples=150)
+@given(bracket_sources())
+def test_cli_convert_exits_0_or_2(source):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "source.txt"
+        path.write_text(source, encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["convert", str(path), "--to", "text"])
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

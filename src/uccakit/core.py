@@ -230,11 +230,14 @@ class Passage:
             yield from unit.outgoing
 
     def text_of(self, unit_id: str, limit: int | None = None) -> str:
-        """The unit's surface text (primary yield, token order)."""
-        text = " ".join(self.tokens[p].text for p in sorted(self.extents[unit_id]))
-        if limit is not None:
-            text = text[:limit]
-        return text
+        """The unit's surface text (primary yield, token order), cut to `limit`
+        characters; no token is empty, so that takes at most `limit` tokens."""
+        positions = self.extents[unit_id]
+        if limit is not None and 0 <= limit < len(positions):
+            from heapq import nsmallest
+            positions = nsmallest(limit, positions)
+        text = " ".join(self.tokens[p].text for p in sorted(positions))
+        return text if limit is None else text[:limit]
 
 
 def id_key(unit_id: str):

@@ -40,6 +40,10 @@ from .core import (
 
 FORMAT_VERSION = "1"
 
+# Documents repeat a few label lists many times; each is checked once per
+# process.  Only canonical lists are kept: one entry per valid category set.
+_CATEGORY_SETS: dict[tuple, CategorySet] = {}
+
 
 class MalformedDocument(UccaError):
     """The input is not a well-formed interchange document."""
@@ -191,8 +195,6 @@ def from_interchange(data: bytes | str) -> Passage:
 
     raw_edges = _field(doc, "edges", list, "document")
     edges = []
-    # Documents repeat a few label lists many times; check each once.
-    category_sets: dict[tuple, CategorySet] = {}
     for i, entry in enumerate(raw_edges):
         if not isinstance(entry, dict):
             _fail(f"edge {i} must be an object")
@@ -205,14 +207,14 @@ def from_interchange(data: bytes | str) -> Passage:
             _fail(f"edge {i}: 'remote' must be a boolean")
         key = tuple(labels)
         try:
-            categories = category_sets[key]
+            categories = _CATEGORY_SETS[key]
         except (KeyError, TypeError):  # TypeError: an unhashable label
             try:
                 categories = CategorySet(labels)
             except InvalidCategory as exc:
                 _fail(f"edge {i}: {exc}")
-            # Only strings from the inventory get here, so key is hashable.
-            category_sets[key] = categories
+            if categories.labels == key:
+                _CATEGORY_SETS[key] = categories
         edges.append((parent, child, categories, remote))
 
     tokens = tuple(tokens)

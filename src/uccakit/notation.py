@@ -28,12 +28,12 @@ from __future__ import annotations
 import re
 import unicodedata
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .categories import CategorySet, InvalidCategory, ALL_LABELS
 from .core import (
-    EdgeSpec,
+    Edge,
     IMPLICIT,
     INTERNAL,
     Passage,
@@ -41,8 +41,9 @@ from .core import (
     TERMINAL,
     Token,
     UccaError,
-    UnitSpec,
-    build_passage,
+    _assemble,
+    _check_dag,
+    build_passage,  # unused here; bench/tracing.py patches this name
     value_type,
 )
 
@@ -215,9 +216,9 @@ class _Node:
     children: list["_Node"]
     parens: list[_RawParen]
     start: int = 0
-    scope: dict = field(default_factory=dict)
-    kind: str = INTERNAL
-    positions: tuple[int, ...] = ()
+    positions: tuple[int, ...] = ()  # a terminal's, never empty
+    uid: str = ""  # the unit's pre-order id, and its `Edge`s, once numbered
+    outgoing: list | None = None
 
 
 def _parse_label_token(tok: NotationToken, labels: dict) -> _Label:
@@ -234,14 +235,10 @@ def _parse_label_token(tok: NotationToken, labels: dict) -> _Label:
     return _Label(*parsed, tok)
 
 
-def _is_token(item, kind: str) -> bool:
-    return type(item) is NotationToken and item.kind == kind
-
-
-def _label_hint(items) -> None:
-    """Raise the most helpful error for a bracket with no usable label."""
-    for pick in (items[0], items[-1]) if items else ():
-        if _is_token(pick, WORD) and _LABEL_SHAPE.match(pick.text):
+def _label_hint(picks) -> None:
+    """Raise the most helpful error for a bracket whose end words, `picks`, hold no label."""
+    for pick in picks:
+        if pick is not None and pick.kind == WORD and _LABEL_SHAPE.match(pick.text):
             raise UnknownCategoryLabel(
                 f"{pick.text!r} is not a known category label", position=pick.start
             )
@@ -281,53 +278,57 @@ def _parse_tree(source: str) -> _Node:
             expected="']'",
             found="end of input",
         )
-    items = stack[0][1]
-    return _Node(
-        None,
-        False,
-        [t for t in items if type(t) is NotationToken],
-        [g for g in items if type(g) is _Node],
-        [p for p in items if type(p) is _RawParen],
-    )
+    by_type: dict[type, list] = {NotationToken: [], _Node: [], _RawParen: []}
+    for item in stack[0][1]:
+        by_type[type(item)].append(item)
+    return _Node(None, False, *by_type.values())
 
 
 def _finish_group(open_tok: NotationToken, items: list, labels: dict) -> _Node:
+    """The group of `items`, classified in one pass over them; the label
+    and the UNA mark are words at either end of the group."""
+    words: list[NotationToken] = []
+    children: list[_Node] = []
     parens: list[_RawParen] = []
-    while items and type(items[-1]) is _RawParen:
-        parens.insert(0, items.pop())
     for item in items:
         if type(item) is _RawParen:
+            parens.append(item)
+        elif parens:
             raise MisplacedRemote(
                 "round-bracket group must come at the end of its unit",
-                position=item.start,
+                position=parens[0].start,
             )
+        elif type(item) is _Node:
+            children.append(item)
+        else:
+            words.append(item)
 
-    def is_una(item):
-        return _is_token(item, LABEL) and item.text == UNA_MARKER
-
+    # Words before the first child or after the last one sit at an end of
+    # the group.  The word "UNA" always lexes as a label.
+    after = children[-1].start if children else -1
     una = False
-    if items and is_una(items[-1]):
-        items.pop()
+    if words and words[-1].start > after and words[-1].text == UNA_MARKER:
+        words.pop()
         una = True
-    elif len(items) >= 2 and _is_token(items[-1], LABEL) and is_una(items[-2]):
-        items.pop(-2)
-        una = True
+    elif len(words) > 1 and words[-2].start > after and words[-2].text == UNA_MARKER:
+        if words[-1].kind == LABEL:
+            del words[-2]
+            una = True
 
-    if items and _is_token(items[0], LABEL):
-        label_tok = items.pop(0)
-    elif items and _is_token(items[-1], LABEL):
-        label_tok = items.pop()
+    head = words[0] if words and (not children or words[0].start < children[0].start) else None
+    tail = words[-1] if words and words[-1].start > after else None
+    if head is not None and head.kind == LABEL:
+        label_tok = words.pop(0)
+    elif tail is not None and tail.kind == LABEL:
+        label_tok = words.pop()
     else:
-        _label_hint(items)
+        _label_hint((head, tail))
         raise ParseError(
             "bracket group has no category label",
             position=open_tok.start,
             expected="a label just inside '[' or just before ']'",
         )
     label = _parse_label_token(label_tok, labels)
-
-    words = [item for item in items if type(item) is NotationToken]
-    children = [item for item in items if type(item) is _Node]
     if not words and not children and not parens and not (label.open_dash or label.close_dash):
         raise ParseError(
             "category label without any text; write the label beside its text,"
@@ -372,7 +373,7 @@ def _read_paren(open_tok: NotationToken, toks, labels: dict) -> _RawParen:
     elif words[0].kind == LABEL:
         label_tok = words.pop(0)
     else:
-        _label_hint(words)
+        _label_hint((words[0], words[-1]))
         raise ParseError(
             "round-bracket group has no category label",
             position=open_tok.start,
@@ -398,6 +399,7 @@ def _resolve(root: _Node) -> dict[_Node, _Node]:
     """
     parent: dict[_Node, _Node] = {}
     unfinished: dict[_Node, int] = {}  # opened fragment -> label byte offset
+    scopes: dict[_Node, dict] = {}  # unit -> its children's open fragments, by label
     stack = [(root, iter(root.children), False)]
     root.children = []
     while stack:
@@ -409,7 +411,7 @@ def _resolve(root: _Node) -> dict[_Node, _Node]:
                 continue
             lab = target.label
             if lab.open_dash:
-                scope = parent[target].scope
+                scope = scopes.setdefault(parent[target], {})
                 key = (lab.cats.labels, lab.index)
                 if key in scope:
                     raise AmbiguousContinuation(
@@ -422,7 +424,7 @@ def _resolve(root: _Node) -> dict[_Node, _Node]:
             continue
         lab = g.label
         if lab.close_dash:
-            node = target.scope.get((lab.cats.labels, lab.index))
+            node = scopes.get(target, {}).get((lab.cats.labels, lab.index))
             if node is None:
                 raise OrphanContinuation(
                     f"continuation '-{lab.tok.text.lstrip('-')}' has no open fragment"
@@ -490,29 +492,70 @@ def parse_passage(
     raises AmbiguousRemote while lenient mode warns through on_warning and
     picks the nearest preceding match.  If the remote edges close a cycle,
     the error names the first group in source order whose edge closes one.
+
+    Units are numbered in dense pre-order, children in source order before
+    implicit units, and assembled directly: the parse ensures all that
+    `build_passage` checks but acyclicity, which is checked here.
     """
     root = _parse_tree(source)
     parent = _resolve(root)
-    # Breadth-first from the root; read backwards, children come before parents.
-    order = [root]
-    for node in order:
-        order.extend(node.children)
-
-    word_toks = sorted([t for n in order for t in n.words], key=lambda t: t.start)
+    word_toks = sorted([*root.words, *(t for n in parent for t in n.words)], key=lambda t: t.start)
     punct = {text: _is_punct_text(text) for text in {t.text for t in word_toks}}
     stream = [Token(t.text, pos, punct[t.text]) for pos, t in enumerate(word_toks)]
-    position_of = {id(t): pos for pos, t in enumerate(word_toks)}
+    position_of = {t.start: pos for pos, t in enumerate(word_toks)}
 
     for node in parent:
         if not (node.children or node.parens):
-            node.kind = TERMINAL
-            node.positions = tuple(
-                pos
-                for pos in (position_of[id(t)] for t in node.words)
-                if not stream[pos].is_punct
-            )
+            positions = [position_of[t.start] for t in node.words]
+            node.positions = tuple(pos for pos in positions if not stream[pos].is_punct)
             if not node.positions:
                 raise ParseError("unit covers no text", position=node.start)
+
+    # Outgoing edges: children, implicit units, then (below) remote targets.
+    units: list[tuple] = []  # (id, kind, positions, outgoing), as _assemble takes them
+    remote_requests: list[tuple[_Node, _RawParen]] = []
+    stack: list[tuple] = [(root, None, None)]  # (node, or None if implicit; categories; parent)
+    while stack:
+        node, cats, up = stack.pop()
+        uid = str(len(units))
+        if up is not None:
+            up.outgoing.append(Edge(up.uid, uid, cats))
+        if node is None:
+            units.append((uid, IMPLICIT, (), ()))
+            continue
+        node.uid, node.outgoing = uid, []
+        units.append((uid, TERMINAL if node.positions else INTERNAL, node.positions, node.outgoing))
+        for paren in reversed(node.parens):
+            if paren.words == [IMPLICIT_MARKER]:
+                stack.append((None, paren.cats, node))
+            else:
+                remote_requests.append((node, paren))
+        for child in reversed(node.children):
+            cats = child.label.cats
+            if child.una and UNA_MARKER not in cats:
+                cats = CategorySet(list(cats) + [UNA_MARKER])
+            stack.append((child, cats, node))
+    if not remote_requests:
+        return _assemble(passage_id, tuple(stream), units)
+
+    remote_requests.sort(key=lambda request: request[1].start)
+    # Only a node with as many words as a remote text can read it, and only
+    # short nodes list their positions.  Each node comes after its parent in
+    # `parent`, and the root, an ancestor of every owner, is never a target.
+    lengths = {len(paren.words) for _, paren in remote_requests}
+    longest = max(lengths)
+    size: dict[_Node, int] = {}
+    extents: dict[_Node, list[int]] = {}
+    for node in reversed(parent):
+        size[node] = len(node.positions) + sum(size[c] for c in node.children)
+        if size[node] <= longest:
+            below = [pos for c in node.children for pos in extents[c]]
+            extents[node] = sorted([*node.positions, *below])
+    readers: dict[tuple[str, ...], list[_Node]] = {}
+    for node in reversed(parent):
+        if size[node] in lengths:
+            text = tuple(stream[pos].text for pos in extents[node])
+            readers.setdefault(text, []).append(node)
 
     def resolve_remote(owner: _Node, paren: _RawParen) -> _Node:
         wanted = tuple(paren.words)
@@ -529,7 +572,7 @@ def parse_passage(
                 " or use lenient mode",
                 position=paren.start,
             )
-        ref = bisect_left(word_starts, paren.start)
+        ref = bisect_left(word_toks, paren.start, key=lambda t: t.start)
         if on_warning is not None:
             on_warning(
                 f"byte {paren.start}: {len(minimal)} units read {' '.join(wanted)!r};"
@@ -540,51 +583,7 @@ def parse_passage(
             return max(before, key=lambda n: extents[n][0])
         return min(minimal, key=lambda n: extents[n][0])
 
-    # Each unit's edges go to its children in source order, then to its
-    # implicit units, then (below) to its remote targets.  The spec ids are
-    # arbitrary: build_passage numbers the units in pre-order.
-    units: list[UnitSpec] = []
-    edges: list[EdgeSpec] = []
-    ids: dict[_Node, str] = {}  # children before parents
-    remote_requests: list[tuple[_Node, _RawParen]] = []
-    for node in reversed(order):
-        uid = ids[node] = f"t{len(units)}"
-        units.append(UnitSpec(uid, node.kind, node.positions))
-        for child in node.children:
-            cats = child.label.cats
-            if child.una and UNA_MARKER not in cats:
-                cats = CategorySet(list(cats) + [UNA_MARKER])
-            edges.append(EdgeSpec(uid, ids[child], cats))
-        for paren in node.parens:
-            if paren.words == [IMPLICIT_MARKER]:
-                imp_id = f"t{len(units)}"
-                units.append(UnitSpec(imp_id, IMPLICIT))
-                edges.append(EdgeSpec(uid, imp_id, paren.cats))
-            else:
-                remote_requests.append((node, paren))
-
-    if remote_requests:
-        remote_requests.sort(key=lambda request: request[1].start)
-        # Only a node with as many words as a remote text can read it, and
-        # only short nodes list their positions.
-        lengths = {len(paren.words) for _, paren in remote_requests}
-        longest = max(lengths)
-        size: dict[_Node, int] = {}
-        extents: dict[_Node, list[int]] = {}
-        for node in ids:
-            size[node] = len(node.positions) + sum(size[c] for c in node.children)
-            if size[node] <= longest:
-                below = [pos for c in node.children for pos in extents[c]]
-                extents[node] = sorted([*node.positions, *below])
-        readers: dict[tuple[str, ...], list[_Node]] = {}
-        for node in ids:
-            if size[node] in lengths:
-                text = tuple(stream[pos].text for pos in extents[node])
-                readers.setdefault(text, []).append(node)
-        word_starts = [t.start for t in word_toks]
-
-    primary = len(edges)
-    remotes: dict[tuple[_Node, _Node], _RawParen] = {}  # in source order
+    remotes: dict[tuple[_Node, _Node], tuple[Edge, _RawParen]] = {}  # in source order
     for owner, paren in remote_requests:
         target = resolve_remote(owner, paren)
         if (owner, target) in remotes:
@@ -592,29 +591,25 @@ def parse_passage(
                 f"a second remote group in one unit reads {' '.join(paren.words)!r}",
                 position=paren.start,
             )
-        remotes[owner, target] = paren
-        edges.append(EdgeSpec(ids[owner], ids[target], paren.cats, remote=True))
+        edge = Edge(owner.uid, target.uid, paren.cats, True)
+        owner.outgoing.append(edge)
+        remotes[owner, target] = edge, paren
 
+    ids = [unit[0] for unit in units]
     try:
-        return build_passage(stream, units, edges, passage_id=passage_id, require_coverage=False)
+        _check_dag(ids, {uid: outgoing for uid, _, _, outgoing in units})
+        return _assemble(passage_id, tuple(stream), units)
     except RemoteCycle:
         pass
-
-    # Blame the first group, in source order, that closes a cycle with the
-    # primary edges and the groups before it: the last of the shortest prefix
-    # that still fails to build.  Each later group becomes an edge to a new
-    # implicit unit, which keeps its owner's edges and closes no cycle.
-    def closes_cycle(k: int) -> bool:
-        later = [EdgeSpec(e.parent, f"r{j}", e.categories) for j, e in enumerate(edges[k:])]
-        stand_ins = [UnitSpec(e.child, IMPLICIT) for e in later]
+    # Blame the first group, in source order, whose edge closes a cycle with
+    # the primary edges and the groups before it.
+    outgoing = {uid: [e for e in out if not e.remote] for uid, _, _, out in units}
+    for edge, paren in remotes.values():
+        outgoing[edge.parent].append(edge)
         try:
-            build_passage(stream, units + stand_ins, edges[:k] + later, require_coverage=False)
+            _check_dag(ids, outgoing)
         except RemoteCycle:
-            return True
-        return False
-
-    blamed = bisect_left(range(primary + 1, len(edges)), True, key=closes_cycle)
-    paren = list(remotes.values())[blamed]
+            break
     raise ParseError(
         f"the remote group reading {' '.join(paren.words)!r} closes a cycle of edges",
         position=paren.start,

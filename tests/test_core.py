@@ -293,6 +293,17 @@ def test_extents_are_public_and_read_only():
         p.extents[p.root] = frozenset()
 
 
+@pytest.mark.parametrize("limit", [None, -3, 0, 1, 4, 5, 12, 40, 1000])
+def test_text_of_cuts_the_full_text(limit):
+    # Deep, discontiguous and punctuated units, with words of mixed lengths.
+    deep = "".join(f"[E [E {'w' * (i % 4 + 1)}{i}] " for i in range(60)) + "[C x]" + "]" * 60
+    source = f"[H [P go] [A {deep}] , [A- up] [D so] [-A on .]]"
+    p = parse_passage(source)
+    for uid in p.units:
+        full = " ".join(p.tokens[pos].text for pos in sorted(p.extents[uid]))
+        assert p.text_of(uid, limit) == (full if limit is None else full[:limit])
+
+
 def test_yield_unknown_unit():
     with pytest.raises(UnknownUnit):
         yield_of(apa(), "99")

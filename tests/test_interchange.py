@@ -448,6 +448,29 @@ class TestReaderMessages:
             from_interchange(canonical_json_bytes(doc))
         assert str(info.value) == "edge 0: unknown category label 'ZZ'"
 
+    def test_label_cache_holds_canonical_lists_only(self):
+        from uccakit import interchange
+
+        doc = json.loads(EXPECTED_SMALL)
+        for labels in (["A", "P"], ["P", "A"], ["A", "A", "P"], ["P", "A"]):
+            doc["edges"][1]["categories"] = labels
+            p = from_interchange(canonical_json_bytes(doc))
+            assert p.units["1"].outgoing[0].categories.labels == ("P", "A")
+        cache = interchange._CATEGORY_SETS
+        assert ("P", "A") in cache and ("A", "P") not in cache
+        assert all(categories.labels == key for key, categories in cache.items())
+        # Lists that fail are never cached, so they fail the same way every time.
+        for labels, message in (
+            (["ZZ"], "edge 1: unknown category label 'ZZ'"),
+            (["P", "S"], "edge 1: P and S cannot appear on the same edge"),
+            ([["A"]], "edge 1: unknown category label ['A']"),
+        ):
+            doc["edges"][1]["categories"] = labels
+            for _ in range(2):
+                with pytest.raises(MalformedDocument) as info:
+                    from_interchange(canonical_json_bytes(doc))
+                assert str(info.value) == message
+
 
 class TestLoneSurrogates:
     @pytest.mark.parametrize("escape", ["\\ud800", "\\uDBFF", "\\udc00", "\\uDfFf"])

@@ -163,3 +163,21 @@ def test_cli_calls_patched_name(name, monkeypatch, capsys, tmp_path, interchange
     argv = [arg.format(json=interchange_file, dir=tmp_path) for arg in SEAM[name]]
     assert cli.main(argv) == 0, capsys.readouterr().err
     assert calls
+
+
+def test_parser_lexes_once_through_its_module_global(monkeypatch):
+    # A tracer times the tokenizer by patching `uccakit.notation.lex`, and
+    # parse-time `build_passage` by the name `uccakit.notation.build_passage`.
+    from uccakit import notation
+
+    original = notation.lex
+    calls = []
+
+    def counting(source):
+        calls.append(source)
+        return original(source)
+
+    monkeypatch.setattr(notation, "lex", counting)
+    notation.parse_passage(KICKED.read_text())
+    assert len(calls) == 1
+    assert notation.build_passage is uccakit.build_passage

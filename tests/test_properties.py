@@ -308,6 +308,28 @@ def test_interchange_loads_as_build_passage_does(data):
     assert load_outcome(from_interchange, data) == load_outcome(reference_load, data)
 
 
+def table_outcome(p):
+    return (
+        to_interchange(p),
+        {uid: p.incoming(uid) for uid in p.units},
+        [unit.outgoing for unit in p.units.values()],
+        dict(p.extents),
+    )
+
+
+@settings(max_examples=400)
+@given(bracket_sources(), st.booleans())
+def test_parsed_tables_pass_build_passage(source, lenient):
+    # The parser assembles its passage without `build_passage`'s checks;
+    # every passage it returns must still pass them, unchanged.
+    p = parse_text(source, lenient)
+    if p is not None:
+        units = [UnitSpec(u.id, u.kind, tuple(sorted(u.tokens))) for u in p.units.values()]
+        edges = [EdgeSpec(e.parent, e.child, e.categories, e.remote) for e in p.edges()]
+        q = build_passage(p.tokens, units, edges, passage_id=p.id, require_coverage=False)
+        assert table_outcome(q) == table_outcome(p)
+
+
 @settings(max_examples=150)
 @given(bracket_sources())
 def test_cli_convert_exits_0_or_2(source):

@@ -16,8 +16,10 @@ diagnostics.
 
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from functools import wraps
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -232,6 +234,7 @@ class Passage:
     def text_of(self, unit_id: str, limit: int | None = None) -> str:
         """The unit's surface text (primary yield, token order), cut to `limit`
         characters; no token is empty, so that takes at most `limit` tokens."""
+        self.unit(unit_id)
         positions = self.extents[unit_id]
         if limit is not None and 0 <= limit < len(positions):
             from heapq import nsmallest
@@ -253,6 +256,21 @@ def _as_category_set(value) -> CategorySet:
     return CategorySet(value)
 
 
+def _gc_paused(func):
+    """Run `func` with the cyclic garbage collector paused: builds make no cycles."""
+    @wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
+
+
+@_gc_paused
 def build_passage(
     tokens: Sequence[Token],
     units: Iterable[UnitSpec],
@@ -270,8 +288,8 @@ def build_passage(
     them, which keeps ill-annotated passages representable.
 
     With require_coverage=False, non-punctuation tokens outside every
-    terminal are tolerated; the notation parser uses this so that
-    partially annotated text can still be loaded and validated.
+    terminal are tolerated, so that partially annotated text can still be
+    loaded and validated.  The call pauses the cyclic garbage collector.
     """
     tokens = tuple(tokens)
     for i, tok in enumerate(tokens):

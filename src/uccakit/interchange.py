@@ -34,6 +34,7 @@ from .core import (
     UnitSpec,
     _assemble,
     _check_dag,
+    _gc_paused,
     build_passage,
     id_key,
 )
@@ -122,12 +123,14 @@ def _where(what: str, index: int | None) -> str:
     return what if index is None else f"{what} {index}"
 
 
+@_gc_paused
 def from_interchange(data: bytes | str) -> Passage:
     """Parse interchange bytes into a passage.
 
     Structural problems in the decoded tables surface as the usual
     build errors; problems with the document itself (encoding, JSON,
-    schema, version) raise MalformedDocument.
+    schema, version) raise MalformedDocument.  Like `build_passage`, the
+    call pauses the cyclic garbage collector.
     """
     if isinstance(data, bytes):
         try:

@@ -43,6 +43,7 @@ from .core import (
     UccaError,
     _assemble,
     _check_dag,
+    _gc_paused,
     build_passage,  # unused here; bench/tracing.py patches this name
     value_type,
 )
@@ -471,6 +472,7 @@ def _minimal_readers(readers, wanted, owner, parent):
     return [u for u in candidates if u not in wrappers]
 
 
+@_gc_paused
 def parse_passage(
     source: str,
     *,
@@ -495,7 +497,8 @@ def parse_passage(
 
     Units are numbered in dense pre-order, children in source order before
     implicit units, and assembled directly: the parse ensures all that
-    `build_passage` checks but acyclicity, which is checked here.
+    `build_passage` checks but acyclicity, which is checked here.  Like
+    `build_passage`, the call pauses the cyclic garbage collector.
     """
     root = _parse_tree(source)
     parent = _resolve(root)

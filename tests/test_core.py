@@ -304,6 +304,13 @@ def test_text_of_cuts_the_full_text(limit):
         assert p.text_of(uid, limit) == (full if limit is None else full[:limit])
 
 
+@pytest.mark.parametrize("limit", [None, 3])
+def test_text_of_unknown_unit(limit):
+    with pytest.raises(UnknownUnit) as err:
+        apa().text_of("x", limit)
+    assert str(err.value) == "no unit with id 'x'"
+
+
 def test_yield_unknown_unit():
     with pytest.raises(UnknownUnit):
         yield_of(apa(), "99")

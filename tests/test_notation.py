@@ -1,5 +1,7 @@
 import ast
 import gc
+import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -9,17 +11,24 @@ from uccakit import (
     AmbiguousContinuation,
     AmbiguousRemote,
     DanglingContinuation,
+    DuplicateId,
     EdgeSpec,
+    MalformedDocument,
     MisplacedRemote,
     OrphanContinuation,
     ParseError,
+    Passage,
+    RemoteCycle,
     RenderError,
     Token,
+    UccaError,
     UnbalancedBrackets,
     UnitSpec,
     UnknownCategoryLabel,
     UnresolvedRemote,
     build_passage,
+    canonical_json_bytes,
+    from_interchange,
     isomorphic,
     lex,
     parse_passage,
@@ -201,6 +210,206 @@ class TestParseBasics:
         with pytest.raises(UnknownCategoryLabel) as err:
             parse_passage(source)
         assert err.value.position == source.encode("utf-8").index(b"Z")
+
+
+# Parsing, loading and building a passage run with the cyclic collector
+# paused, which is safe only while they create no reference cycles.
+CYCLE_FREE_SOURCE = "[H [A John] [P- took] [A [F a] [C shower] ] [-P up] (IMP D)] [H [P left] (John A)]"
+
+
+def renumbered(data: bytes) -> bytes:
+    """The document with its unit ids renamed, so that it loads through
+    `build_passage` and not the pre-order fast path."""
+    doc = json.loads(data)
+    for unit in doc["units"]:
+        unit["id"] = "u" + unit["id"]
+    for edge in doc["edges"]:
+        edge["parent"], edge["child"] = "u" + edge["parent"], "u" + edge["child"]
+    return canonical_json_bytes(doc)
+
+
+def spec_tables(passage):
+    units = [UnitSpec(u.id, u.kind, tuple(sorted(u.tokens))) for u in passage.units.values()]
+    edges = [EdgeSpec(e.parent, e.child, e.categories, e.remote) for e in passage.edges()]
+    return passage.tokens, units, edges
+
+
+def outcome(func, *args, **kwargs):
+    """The class of the result or of the `UccaError` raised, keeping neither
+    alive: a caught exception held in a local is a cycle of its own."""
+    try:
+        return type(func(*args, **kwargs))
+    except UccaError as exc:
+        return type(exc)
+
+
+def remote_cycle_document() -> bytes:
+    doc = json.loads(renumbered(to_interchange(parse_passage("[H [A a] [P b]] [H [A c] [P d]]"))))
+    scenes = [e["child"] for e in doc["edges"] if e["parent"] == "u0"]
+    for parent, child in (scenes, scenes[::-1]):
+        doc["edges"].append({"categories": ["A"], "child": child, "parent": parent, "remote": True})
+    return canonical_json_bytes(doc)
+
+
+class TestNoReferenceCycles:
+    """Every way in or out of the three paused functions frees all it made
+    by reference counting alone."""
+
+    @pytest.fixture(autouse=True)
+    def collector_off(self):
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    def test_loading_a_canonical_document(self):
+        data = to_interchange(parse_passage(CYCLE_FREE_SOURCE))
+        gc.collect()  # what the test runner left
+        assert outcome(from_interchange, data) is Passage
+        assert outcome(from_interchange, data.decode("utf-8")) is Passage
+        assert gc.collect() == 0
+
+    def test_loading_a_renumbered_document(self):
+        data = renumbered(to_interchange(parse_passage(CYCLE_FREE_SOURCE)))
+        gc.collect()  # what the test runner left
+        assert outcome(from_interchange, data) is Passage
+        assert gc.collect() == 0
+
+    def test_building_from_spec_tables(self):
+        tables = spec_tables(parse_passage(CYCLE_FREE_SOURCE))
+        gc.collect()  # what the test runner left
+        assert outcome(build_passage, *tables) is Passage
+        assert outcome(build_passage, *tables, require_coverage=False) is Passage
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize(
+        "func, arg, error",
+        [
+            (parse_passage, "[H [Z x]]", UnknownCategoryLabel),
+            (parse_passage, "[H [A John] [P slept]", UnbalancedBrackets),
+            (parse_passage, "[H [P [C a] [E b] (c d A)] [S [C c] [E d] (a b A)]]", ParseError),
+            (from_interchange, b"{nope", MalformedDocument),
+            (from_interchange, b"\xff", MalformedDocument),
+            (from_interchange, b'{"format_version": "1", "tokens": [1]}', MalformedDocument),
+            (from_interchange, remote_cycle_document(), RemoteCycle),
+        ],
+        ids=["parse", "unbalanced", "remote-cycle-blame", "json", "utf-8", "schema", "build"],
+    )
+    def test_error_exits(self, func, arg, error):
+        gc.collect()  # what the test runner left
+        assert outcome(func, arg) is error
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("error", [DuplicateId, RemoteCycle])
+    def test_build_error_exits(self, error):
+        tokens, units, edges = spec_tables(parse_passage("[H [A a] [P b]] [H [A c] [P d]]"))
+        if error is DuplicateId:
+            units.append(units[-1])
+        else:
+            scenes = [e.child for e in edges if e.parent == "0"]
+            a = edges[1].categories
+            edges += [EdgeSpec(*scenes, a, True), EdgeSpec(*reversed(scenes), a, True)]
+        gc.collect()  # what the test runner left
+        assert outcome(build_passage, tokens, units, edges) is error
+        assert gc.collect() == 0
+
+
+class Probe(Exception):
+    pass
+
+
+# (function, arguments, the module and name of a function it calls inside the pause)
+PAUSED = {
+    "parse_passage": (parse_passage, lambda: (CYCLE_FREE_SOURCE,), "notation", "lex"),
+    "from_interchange": (
+        from_interchange,
+        lambda: (to_interchange(parse_passage(CYCLE_FREE_SOURCE)),),
+        "interchange",
+        "_assemble",
+    ),
+    "build_passage": (
+        build_passage, lambda: spec_tables(parse_passage(CYCLE_FREE_SOURCE)), "core", "_assemble"
+    ),
+}
+
+
+class TestCollectorPause:
+    @pytest.fixture
+    def collector(self):
+        """Restores the collector's state after the test."""
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("name", list(PAUSED))
+    def test_paused_inside_and_restored_after(self, monkeypatch, collector, name, raises, enabled):
+        func, args, module, seam = PAUSED[name]
+        args = args()
+        real = getattr(getattr(uccakit, module), seam)
+        inside = []
+
+        def probe(*a, **kw):
+            inside.append(gc.isenabled())
+            if raises:
+                raise Probe
+            return real(*a, **kw)
+
+        monkeypatch.setattr(getattr(uccakit, module), seam, probe)
+        (gc.enable if enabled else gc.disable)()
+        if raises:
+            with pytest.raises(Probe):
+                func(*args)
+        else:
+            assert isinstance(func(*args), Passage)
+        assert gc.isenabled() is enabled
+        assert inside == [False]
+
+    def test_fallback_build_keeps_the_pause(self, monkeypatch, collector):
+        data = renumbered(to_interchange(parse_passage(CYCLE_FREE_SOURCE)))
+        real = uccakit.interchange.build_passage
+        seen = []
+
+        def probe(*a, **kw):
+            seen.append(gc.isenabled())
+            passage = real(*a, **kw)
+            seen.append(gc.isenabled())
+            return passage
+
+        monkeypatch.setattr(uccakit.interchange, "build_passage", probe)
+        gc.enable()
+        assert isinstance(from_interchange(data), Passage)
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize(
+        "func, signature",
+        [
+            (
+                parse_passage,
+                "(source: 'str', *, passage_id: 'str' = 'passage',"
+                " lenient_remotes: 'bool' = False, on_warning=None) -> 'Passage'",
+            ),
+            (from_interchange, "(data: 'bytes | str') -> 'Passage'"),
+            (
+                build_passage,
+                "(tokens: 'Sequence[Token]', units: 'Iterable[UnitSpec]',"
+                " edges: 'Iterable[EdgeSpec]', *, passage_id: 'str' = 'passage',"
+                " require_coverage: 'bool' = True) -> 'Passage'",
+            ),
+        ],
+        ids=["parse_passage", "from_interchange", "build_passage"],
+    )
+    def test_pause_keeps_name_signature_and_docstring(self, func, signature):
+        original = func.__wrapped__
+        assert str(inspect.signature(func)) == signature
+        assert (func.__name__, func.__qualname__, func.__module__) == (
+            original.__name__, original.__qualname__, original.__module__
+        )
+        assert func.__doc__ == original.__doc__
+        assert "pauses the cyclic garbage collector" in func.__doc__
 
 
 class TestNonContiguity:

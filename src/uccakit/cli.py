@@ -4,7 +4,7 @@ summarizing passages.
 Exit codes: 0 success/conforming, 1 error-severity diagnostics found,
 2 parse/IO/format failure, 3 usage error.  Per-file output is buffered
 and flushed only on success, so a failing file contributes nothing to
-stdout; errors go to stderr.
+stdout; errors go to stderr.  Stdout is UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -141,9 +141,21 @@ def _out_path(path: str, out_dir: str | None, index: int, total: int) -> Path:
     return directory / name
 
 
+def _write_out(data: str | bytes) -> None:
+    """Write `data` to stdout as UTF-8 whatever the locale; a stdout with no
+    byte buffer, such as a `StringIO`, takes text.  An undecodable byte of a
+    command-line path, held as a surrogate, goes out as that byte."""
+    raw = getattr(sys.stdout, "buffer", None)
+    if raw is None:
+        sys.stdout.write(data if isinstance(data, str) else data.decode("utf-8"))
+    else:
+        sys.stdout.flush()
+        raw.write(data if isinstance(data, bytes) else data.encode("utf-8", "surrogateescape"))
+
+
 def _flush(status: int, buffer: io.StringIO) -> int:
     if status < FAILURE:
-        sys.stdout.write(buffer.getvalue())
+        _write_out(buffer.getvalue())
     return status
 
 
@@ -237,10 +249,10 @@ def cmd_convert(args) -> int:
             source = _detect_format(args.path, args.source_format)
             target = NOTATION if source == INTERCHANGE else INTERCHANGE
         if target == INTERCHANGE:
-            sys.stdout.write(to_interchange(passage).decode("utf-8"))
+            _write_out(to_interchange(passage))
         else:
             try:
-                sys.stdout.write(render(passage, label_side=args.label_side) + "\n")
+                _write_out(render(passage, label_side=args.label_side) + "\n")
             except UccaError as exc:
                 raise _Failure(f"{args.path}: {exc}") from exc
     except _Failure as failure:
@@ -267,7 +279,7 @@ def cmd_score(args) -> int:
                 args.mode: payload[args.mode],
                 "per_category": payload["per_category"],
             }
-        sys.stdout.write(canonical_json_bytes(payload).decode("utf-8"))
+        _write_out(canonical_json_bytes(payload))
         return OK
     lines = report.table().splitlines()
     if args.mode != "all":
@@ -275,7 +287,7 @@ def cmd_score(args) -> int:
         keep += [line for line in lines[1:5] if line.lstrip().startswith(args.mode)]
         keep += lines[5:]
         lines = keep
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write_out("\n".join(lines) + "\n")
     return OK
 
 

@@ -424,14 +424,31 @@ def build_passage(
         spec = specs[old]
         edges = [Edge(new, rename[e.child], e.categories, e.remote) for e in outgoing[old]]
         units.append((new, spec.kind, spec.tokens, edges))
-    return _assemble(passage_id, tokens, units)
+    return _assemble(passage_id, tokens, units, _extents(units))
 
 
-def _assemble(passage_id, tokens, units) -> Passage:
+def _extents(units) -> dict[str, frozenset[int]]:
+    """Each unit's primary extent, for the units `_assemble` takes.  Only
+    primary edges are read, so remote edges may join a unit's outgoing
+    list afterwards."""
+    extents: dict[str, frozenset[int]] = {}
+    for uid, kind, positions, outgoing in reversed(units):
+        if kind == TERMINAL:
+            extents[uid] = frozenset(positions)
+        else:
+            agg: set[int] = set()
+            for e in outgoing:
+                if not e.remote:
+                    agg.update(extents[e.child])
+            extents[uid] = frozenset(agg)
+    return extents
+
+
+def _assemble(passage_id, tokens, units, extents) -> Passage:
     """The passage of `units`, which checks nothing.  Each unit is
     (id, kind, positions, outgoing); the units come in pre-order over
     primary edges with the ids "0"..."n-1", and outgoing holds a unit's
-    `Edge`s in child order."""
+    `Edge`s in child order.  `extents` is `_extents(units)`."""
     final_units: dict[str, Unit] = {}
     primary_parent: dict[str, Edge] = {}
     remote_parents: dict[str, list[Edge]] = {}
@@ -441,19 +458,8 @@ def _assemble(passage_id, tokens, units) -> Passage:
                 remote_parents.setdefault(e.child, []).append(e)
             else:
                 primary_parent[e.child] = e
-        final_units[uid] = Unit(uid, kind, frozenset(positions), tuple(outgoing))
-
-    extents: dict[str, frozenset[int]] = {}
-    for uid in reversed(final_units):
-        unit = final_units[uid]
-        if unit.kind == TERMINAL:
-            extents[uid] = unit.tokens
-        else:
-            agg: set[int] = set()
-            for e in unit.outgoing:
-                if not e.remote:
-                    agg.update(extents[e.child])
-            extents[uid] = frozenset(agg)
+        own = extents[uid] if kind == TERMINAL else frozenset()
+        final_units[uid] = Unit(uid, kind, own, tuple(outgoing))
 
     remotes = {k: tuple(v) for k, v in remote_parents.items()}
     return Passage(passage_id, tokens, final_units, "0", primary_parent, remotes, extents)

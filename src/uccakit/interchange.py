@@ -34,6 +34,7 @@ from .core import (
     UnitSpec,
     _assemble,
     _check_dag,
+    _extents,
     _gc_paused,
     build_passage,
     id_key,
@@ -296,4 +297,5 @@ def _load_in_preorder(passage_id, tokens, units, edges) -> Passage | None:
             _check_dag(ids, dict(zip(ids, outgoing)))
         except RemoteCycle:
             return None
-    return _assemble(passage_id, tokens, [(*unit, out) for unit, out in zip(units, outgoing)])
+    units = [(*unit, out) for unit, out in zip(units, outgoing)]
+    return _assemble(passage_id, tokens, units, _extents(units))

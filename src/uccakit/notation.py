@@ -43,6 +43,7 @@ from .core import (
     UccaError,
     _assemble,
     _check_dag,
+    _extents,
     _gc_paused,
     build_passage,  # unused here; bench/tracing.py patches this name
     value_type,
@@ -450,11 +451,21 @@ def _resolve(root: _Node) -> dict[_Node, _Node]:
     return parent
 
 
+def _reader_index(tokens, extents, widths) -> dict[tuple[str, ...], list[str]]:
+    """Each surface text, a tuple of token texts, mapped to the units
+    reading it, among the units whose extent has a width in `widths`."""
+    readers: dict[tuple[str, ...], list[str]] = {}
+    for uid, extent in extents.items():
+        if len(extent) in widths:
+            readers.setdefault(tuple(tokens[pos].text for pos in sorted(extent)), []).append(uid)
+    return readers
+
+
 def _minimal_readers(readers, wanted, owner, parent):
     """The units a remote from `owner` reading `wanted` may resolve to.
 
-    `readers` maps each surface text (a tuple of token texts) to the
-    units reading it, and `parent` gives a unit's primary parent or None.
+    `readers` is the `_reader_index` of the passage's units, and `parent`
+    gives a unit's primary parent id or None.
     The owner, its ancestors and its own children are never targets.
     Among the rest the minimal unit wins: a candidate whose child is also
     a candidate drops out, since reading the same tokens from inside it,
@@ -538,31 +549,17 @@ def parse_passage(
             if child.una and UNA_MARKER not in cats:
                 cats = CategorySet(list(cats) + [UNA_MARKER])
             stack.append((child, cats, node))
+    extents = _extents(units)
     if not remote_requests:
-        return _assemble(passage_id, tuple(stream), units)
+        return _assemble(passage_id, tuple(stream), units, extents)
 
     remote_requests.sort(key=lambda request: request[1].start)
-    # Only a node with as many words as a remote text can read it, and only
-    # short nodes list their positions.  Each node comes after its parent in
-    # `parent`, and the root, an ancestor of every owner, is never a target.
-    lengths = {len(paren.words) for _, paren in remote_requests}
-    longest = max(lengths)
-    size: dict[_Node, int] = {}
-    extents: dict[_Node, list[int]] = {}
-    for node in reversed(parent):
-        size[node] = len(node.positions) + sum(size[c] for c in node.children)
-        if size[node] <= longest:
-            below = [pos for c in node.children for pos in extents[c]]
-            extents[node] = sorted([*node.positions, *below])
-    readers: dict[tuple[str, ...], list[_Node]] = {}
-    for node in reversed(parent):
-        if size[node] in lengths:
-            text = tuple(stream[pos].text for pos in extents[node])
-            readers.setdefault(text, []).append(node)
+    readers = _reader_index(stream, extents, {len(paren.words) for _, paren in remote_requests})
+    parent_of = {e.child: uid for uid, _, _, outgoing in units for e in outgoing}
 
-    def resolve_remote(owner: _Node, paren: _RawParen) -> _Node:
+    def resolve_remote(owner: _Node, paren: _RawParen) -> str:
         wanted = tuple(paren.words)
-        minimal = _minimal_readers(readers, wanted, owner, parent.get)
+        minimal = _minimal_readers(readers, wanted, owner.uid, parent_of.get)
         if not minimal:
             raise UnresolvedRemote(
                 f"no unit reads {' '.join(wanted)!r}", position=paren.start
@@ -581,27 +578,26 @@ def parse_passage(
                 f"byte {paren.start}: {len(minimal)} units read {' '.join(wanted)!r};"
                 " picking the nearest preceding one"
             )
-        before = [n for n in minimal if extents[n][0] < ref]
-        if before:
-            return max(before, key=lambda n: extents[n][0])
-        return min(minimal, key=lambda n: extents[n][0])
+        first = {uid: min(extents[uid]) for uid in minimal}
+        before = [uid for uid in minimal if first[uid] < ref]
+        return max(before, key=first.get) if before else min(minimal, key=first.get)
 
-    remotes: dict[tuple[_Node, _Node], tuple[Edge, _RawParen]] = {}  # in source order
+    remotes: dict[tuple[str, str], tuple[Edge, _RawParen]] = {}  # in source order
     for owner, paren in remote_requests:
         target = resolve_remote(owner, paren)
-        if (owner, target) in remotes:
+        if (owner.uid, target) in remotes:
             raise ParseError(
                 f"a second remote group in one unit reads {' '.join(paren.words)!r}",
                 position=paren.start,
             )
-        edge = Edge(owner.uid, target.uid, paren.cats, True)
+        edge = Edge(owner.uid, target, paren.cats, True)
         owner.outgoing.append(edge)
-        remotes[owner, target] = edge, paren
+        remotes[owner.uid, target] = edge, paren
 
     ids = [unit[0] for unit in units]
     try:
         _check_dag(ids, {uid: outgoing for uid, _, _, outgoing in units})
-        return _assemble(passage_id, tuple(stream), units)
+        return _assemble(passage_id, tuple(stream), units, extents)
     except RemoteCycle:
         pass
     # Blame the first group, in source order, whose edge closes a cycle with
@@ -794,14 +790,10 @@ class _Renderer:
     def _check_unambiguous(self, owner: str, target: str, text: tuple[str, ...]) -> None:
         # Re-run the reference resolution a reader would apply; unless it
         # lands on exactly one unit, the remote cannot be written as text.
-        p = self.p
-        readers = self.readers.get(len(text))
-        if readers is None:
-            readers = self.readers[len(text)] = {}
-            for uid in p.units:
-                if len(p.extents[uid]) == len(text):
-                    readers.setdefault(self._text(uid), []).append(uid)
-        minimal = _minimal_readers(readers, text, owner, self._parent)
+        width = len(text)
+        if width not in self.readers:
+            self.readers[width] = _reader_index(self.p.tokens, self.p.extents, {width})
+        minimal = _minimal_readers(self.readers[width], text, owner, self._parent)
         if len(minimal) != 1:
             raise RenderError(
                 f"{len(minimal)} units read {' '.join(text)!r}; the remote reference to"

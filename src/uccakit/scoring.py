@@ -132,10 +132,13 @@ def score(gold: Passage, predicted: Passage) -> ScoreReport:
     gold_toks = [(t.text, t.is_punct) for t in gold.tokens]
     pred_toks = [(t.text, t.is_punct) for t in predicted.tokens]
     if gold_toks != pred_toks:
-        for i, (g, p) in enumerate(zip(gold_toks, pred_toks)):
+        for i, ((g, g_punct), (p, p_punct)) in enumerate(zip(gold_toks, pred_toks)):
             if g != p:
+                raise TokenMismatch(f"token {i} differs: gold {g!r}, predicted {p!r}")
+            if g_punct != p_punct:
+                marks, other = ("gold", "predicted") if g_punct else ("predicted", "gold")
                 raise TokenMismatch(
-                    f"token {i} differs: gold {g[0]!r}, predicted {p[0]!r}"
+                    f"token {i} differs: {marks} marks {g!r} as punctuation, {other} does not"
                 )
         raise TokenMismatch(
             f"token counts differ: gold has {len(gold_toks)}, predicted has {len(pred_toks)}"

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -332,6 +333,86 @@ class TestLoneSurrogateInterchange:
         assert err == f"{source}: not valid Unicode: a string holds a lone surrogate\n"
         assert "Traceback" not in err
         assert not list(tmp_path.glob("out/*"))
+
+
+def run_encoded(monkeypatch, encoding, *argv):
+    """main(argv) with a stdout whose locale encoding is `encoding`: the exit
+    code and the bytes that reached the stream underneath."""
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding=encoding))
+    code = main(list(argv))
+    sys.stdout.flush()
+    return code, raw.getvalue()
+
+
+class TestStdoutIsUtf8:
+    SCENE = "[H [A 日本] [P ran]]"
+    TWO_MAIN_RELATIONS = "[H [A 日本] [P ran] [P go]]"
+
+    @pytest.fixture(params=["ascii", "latin-1"])
+    def encoding(self, request):
+        return request.param
+
+    def source(self, tmp_path, text, name="u.txt"):
+        path = tmp_path / name
+        path.write_text(text + "\n", encoding="utf-8")
+        return path
+
+    def test_convert_to_text(self, monkeypatch, tmp_path, encoding):
+        path = self.source(tmp_path, self.SCENE)
+        code, out = run_encoded(monkeypatch, encoding, "convert", str(path), "--to", "text")
+        assert (code, out) == (0, f"{self.SCENE}\n".encode("utf-8"))
+
+    def test_convert_to_json(self, monkeypatch, tmp_path, encoding):
+        path = self.source(tmp_path, self.SCENE)
+        code, out = run_encoded(monkeypatch, encoding, "convert", str(path), "--to", "json")
+        assert (code, out) == (0, to_interchange(parse_passage(self.SCENE, passage_id="u")))
+
+    def test_convert_json_to_text(self, monkeypatch, tmp_path, encoding):
+        path = tmp_path / "u.ucca.json"
+        path.write_bytes(to_interchange(parse_passage(self.SCENE)))
+        code, out = run_encoded(monkeypatch, encoding, "convert", str(path))
+        assert (code, out) == (0, f"{self.SCENE}\n".encode("utf-8"))
+
+    def test_validate_text(self, monkeypatch, tmp_path, encoding):
+        path = self.source(tmp_path, self.TWO_MAIN_RELATIONS)
+        code, out = run_encoded(monkeypatch, encoding, "validate", str(path))
+        assert code == 1
+        assert out.decode("utf-8") == (
+            f"{path}: unit 1: R2 error: scene unit has 2 main-relation children:"
+            " '日本 ran go'\n"
+        )
+
+    def test_validate_json(self, monkeypatch, tmp_path, encoding):
+        path = self.source(tmp_path, self.TWO_MAIN_RELATIONS)
+        code, out = run_encoded(monkeypatch, encoding, "validate", str(path), "--format", "json")
+        assert code == 1
+        [row] = json.loads(out.decode("utf-8"))
+        assert (row["rule"], row["message"]) == (
+            "R2", "scene unit has 2 main-relation children: '日本 ran go'"
+        )
+
+    def test_latin1_document_reads_back(self, monkeypatch, tmp_path):
+        path = self.source(tmp_path, "[H [A café] [P ran]]", "c.txt")
+        code, out = run_encoded(monkeypatch, "latin-1", "convert", str(path), "--to", "json")
+        assert code == 0
+        document = tmp_path / "c.ucca.json"
+        document.write_bytes(out)
+        back = run_encoded(monkeypatch, "utf-8", "convert", str(document))
+        assert back == (0, "[H [A café] [P ran]]\n".encode("utf-8"))
+
+    def test_ascii_locale_process(self, tmp_path):
+        path = self.source(tmp_path, self.SCENE)
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="ascii")
+        done = subprocess.run(
+            [sys.executable, "-m", "uccakit", "convert", str(path), "--to", "text"],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, f"{self.SCENE}\n".encode("utf-8"), b""
+        )
 
 
 class TestConvert:

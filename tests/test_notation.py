@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import uccakit
+from uccakit import notation
 from uccakit import (
     AmbiguousContinuation,
     AmbiguousRemote,
@@ -684,6 +685,59 @@ class TestParens:
         assert str(err.value) == (
             "byte 42: continuation marks are not allowed on remote or implicit units"
         )
+
+
+class TestReaderIndex:
+    """The parser and the renderer resolve remote text through one index,
+    `notation._reader_index`, built only when a remote needs it."""
+
+    # Remote groups reading one word and two words.
+    TWO_WIDTHS = (
+        "[H [A John] [P ran] ] [H [A the dog] [P barked] ] "
+        "[H [P saw] (John A) (the dog A) ] [H [P left] (John A) ]"
+    )
+    NO_REMOTES = "[H [A John] [P kicked] [A [F the] [C ball] ] (IMP D) ]"
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The widths asked of each index built during the test."""
+        original = notation._reader_index
+        widths = []
+
+        def counting(tokens, extents, wanted):
+            widths.append(set(wanted))
+            return original(tokens, extents, wanted)
+
+        monkeypatch.setattr(notation, "_reader_index", counting)
+        return widths
+
+    def test_parse_builds_one_index_for_all_widths(self, builds):
+        p = parse_passage(self.TWO_WIDTHS)
+        assert sum(e.remote for e in p.edges()) == 3
+        assert builds == [{1, 2}]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_render_builds_one_index_per_target_width(self, builds, side):
+        p = parse_passage(self.TWO_WIDTHS)
+        builds.clear()
+        text = render(p, side)
+        assert sorted(map(sorted, builds)) == [[1], [2]]
+        assert isomorphic(parse_passage(text), p)
+
+    def test_no_remotes_build_no_index(self, builds):
+        render(parse_passage(self.NO_REMOTES))
+        assert builds == []
+
+    @pytest.mark.parametrize("how", ["parse", "interchange", "build"])
+    def test_terminal_tokens_are_their_extent(self, how):
+        p = parse_passage(self.TWO_WIDTHS)
+        if how == "interchange":
+            p = from_interchange(to_interchange(p))
+        elif how == "build":
+            p = build_passage(*spec_tables(p))
+        terminals = [u for u in p.units.values() if u.kind == "terminal"]
+        assert terminals
+        assert all(u.tokens is p.extents[u.id] for u in terminals)
 
 
 class TestDeepNesting:

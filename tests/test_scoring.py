@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -325,6 +327,11 @@ class TestMismatch:
         )
         with pytest.raises(TokenMismatch):
             score(gold, pred)
+        message = "token 1 differs: {} marks '.' as punctuation, {} does not"
+        with pytest.raises(TokenMismatch, match=re.escape(message.format("gold", "predicted"))):
+            score(gold, pred)
+        with pytest.raises(TokenMismatch, match=re.escape(message.format("predicted", "gold"))):
+            score(pred, gold)
 
 
 class TestConventions:

@@ -104,3 +104,20 @@ class CategorySet:
 
     def __str__(self) -> str:
         return self.notation()
+
+
+# The sets that readers build, shared by the whole process and keyed by
+# their canonical label tuples: one entry per valid category set seen.
+_CANONICAL_SETS: dict[tuple[str, ...], CategorySet] = {}
+
+
+def canonical_set(labels: Iterable[str]) -> CategorySet:
+    """The process's shared `CategorySet` of `labels`.  Raises
+    `InvalidCategory` as the constructor does; a failing list is never
+    stored, so it fails the same way every time."""
+    key = tuple(labels)
+    try:
+        return _CANONICAL_SETS[key]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
+        categories = CategorySet(key)
+        return _CANONICAL_SETS.setdefault(categories.labels, categories)

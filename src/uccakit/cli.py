@@ -88,6 +88,12 @@ def _load_passages(
     source_format: str | None = None,
     lenient_remotes: bool = False,
 ) -> list[Passage]:
+    # The name becomes passage ids and output text, which are UTF-8.
+    try:
+        path.encode("utf-8")
+    except UnicodeEncodeError:
+        shown = os.fsencode(path).decode("utf-8", "backslashreplace")
+        raise _Failure(f"{shown}: file name is not valid UTF-8") from None
     fmt = _detect_format(path, source_format)
     raw = _read(path)
     try:

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring
+from operator import attrgetter
 
-from .categories import CategorySet, InvalidCategory
+from .categories import InvalidCategory, canonical_set
 from .core import (
     FILE_EXTENSION,  # re-exported: it names this module's files
     IMPLICIT,
@@ -41,10 +42,6 @@ from .core import (
 )
 
 FORMAT_VERSION = "1"
-
-# Documents repeat a few label lists many times; each is checked once per
-# process.  Only canonical lists are kept: one entry per valid category set.
-_CATEGORY_SETS: dict[tuple, CategorySet] = {}
 
 
 class MalformedDocument(UccaError):
@@ -69,8 +66,35 @@ def _array(items: list[str], indent: str) -> str:
     return "[" + step + ("," + step).join(items) + "\n" + indent + "]"
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+# The writer's fixed pieces: JSON booleans and token heads by flag, and
+# each canonical label tuple's array, built on its first use.
+_BOOLS = ("false", "true")
+_TOKEN_HEADS = tuple(f'{{\n      "is_punct": {flag},\n      "text": ' for flag in _BOOLS)
+_is_remote = attrgetter("remote")
+
+
+class _LabelArrays(dict):
+    def __missing__(self, labels: tuple[str, ...]) -> str:
+        self[labels] = text = _array([encode_basestring(c) for c in labels], "      ")
+        return text
+
+
+_LABEL_ARRAYS = _LabelArrays()
+
+
+def _positions(tokens: frozenset[int]) -> str:
+    """A unit's token positions, laid out as `_array` would."""
+    if not tokens:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, sorted(tokens))) + "\n      ]"
+
+
+def _by_child(outgoing: tuple[Edge, ...]) -> tuple[Edge, ...] | list[Edge]:
+    """A unit's edges by child id.  Every builder lists the primary children
+    in id order, so only a unit with a remote edge needs sorting."""
+    if True in map(_is_remote, outgoing):
+        return sorted(outgoing, key=lambda e: id_key(e.child))
+    return outgoing
 
 
 def to_interchange(passage: Passage) -> bytes:
@@ -79,28 +103,28 @@ def to_interchange(passage: Passage) -> bytes:
     The result is `canonical_json_bytes` of the document's dict, but the
     fixed schema is laid out here directly: `json.dumps` only uses its C
     encoder without `indent`, and its pure-Python indenting encoder would
-    dominate the cost.  Strings go through the same C escaper.
+    dominate the cost.  Strings go through the same C escaper.  Edges are
+    written unit by unit in id order, each unit's by child id.
     """
     enc = encode_basestring
-    tokens = [
-        f'{{\n      "is_punct": {_bool(t.is_punct)},\n      "text": {enc(t.text)}\n    }}'
-        for t in passage.tokens
-    ]
-    units = [
+    units = passage.units.values()
+    tokens = [f"{_TOKEN_HEADS[t.is_punct]}{enc(t.text)}\n    }}" for t in passage.tokens]
+    unit_texts = [
         f'{{\n      "id": {enc(u.id)},\n      "kind": {enc(u.kind)},\n'
-        f'      "tokens": {_array([str(p) for p in sorted(u.tokens)], "      ")}\n    }}'
-        for u in passage.units.values()
+        f'      "tokens": {_positions(u.tokens)}\n    }}'
+        for u in units
     ]
     edges = [
-        f'{{\n      "categories": {_array([enc(c) for c in e.categories.labels], "      ")},'
+        f'{{\n      "categories": {_LABEL_ARRAYS[e.categories.labels]},'
         f'\n      "child": {enc(e.child)},\n      "parent": {enc(e.parent)},'
-        f'\n      "remote": {_bool(e.remote)}\n    }}'
-        for e in sorted(passage.edges(), key=lambda e: (id_key(e.parent), id_key(e.child)))
+        f'\n      "remote": {_BOOLS[e.remote]}\n    }}'
+        for u in units
+        for e in _by_child(u.outgoing)
     ]
     text = (
         f'{{\n  "edges": {_array(edges, "  ")},\n  "format_version": {enc(FORMAT_VERSION)},'
         f'\n  "id": {enc(passage.id)},\n  "tokens": {_array(tokens, "  ")},'
-        f'\n  "units": {_array(units, "  ")}\n}}\n'
+        f'\n  "units": {_array(unit_texts, "  ")}\n}}\n'
     )
     return text.encode("utf-8")
 
@@ -209,16 +233,10 @@ def from_interchange(data: bytes | str) -> Passage:
         remote = entry.get("remote", False)
         if not isinstance(remote, bool):
             _fail(f"edge {i}: 'remote' must be a boolean")
-        key = tuple(labels)
         try:
-            categories = _CATEGORY_SETS[key]
-        except (KeyError, TypeError):  # TypeError: an unhashable label
-            try:
-                categories = CategorySet(labels)
-            except InvalidCategory as exc:
-                _fail(f"edge {i}: {exc}")
-            if categories.labels == key:
-                _CATEGORY_SETS[key] = categories
+            categories = canonical_set(labels)
+        except InvalidCategory as exc:
+            _fail(f"edge {i}: {exc}")
         edges.append((parent, child, categories, remote))
 
     tokens = tuple(tokens)

@@ -29,9 +29,9 @@ import re
 import unicodedata
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 
-from .categories import CategorySet, InvalidCategory, ALL_LABELS
+from .categories import ALL_LABELS, CategorySet, InvalidCategory, canonical_set
 from .core import (
     Edge,
     IMPLICIT,
@@ -57,13 +57,16 @@ LABEL = "label"
 WORD = "word"
 
 _DELIMS = {"[": LBRACKET, "]": RBRACKET, "(": LPAREN, ")": RPAREN}
-# A delimiter, or a run of anything else up to whitespace.  On str
-# patterns `\s` matches exactly the characters for which str.isspace()
-# is true.
-_TOKEN = re.compile(r"[\[\]()]|[^\s\[\]()]+")
+# A delimiter, or a run of anything else up to whitespace, captured so
+# that `split` keeps it.  On str patterns `\s` matches exactly the
+# characters for which str.isspace() is true.
+_TOKEN = re.compile(r"([\[\]()]|[^\s\[\]()]+)")
 _DELIMITED = re.compile(r"[\[\]()\s]")
 
 _LABEL_SHAPE = re.compile(r"^(-)?([A-Z]+(?:\+[A-Z]+)*)(\d+)?(-)?$")
+# The whole text of a label token: known categories joined by "+", an
+# optional digit index, and a dash at one end at most.
+_LABEL_TEXT = re.compile(r"(?!-.*-\Z)-?(?:{0})(?:\+(?:{0}))*\d*-?".format("|".join(ALL_LABELS)))
 
 IMPLICIT_MARKER = "IMP"
 UNA_MARKER = "UNA"
@@ -137,17 +140,6 @@ class NotationToken:
     end: int
 
 
-def _classify(text: str) -> str:
-    m = _LABEL_SHAPE.match(text)
-    if not m:
-        return WORD
-    if m.group(1) and m.group(4):
-        return WORD
-    if all(part in ALL_LABELS for part in m.group(2).split("+")):
-        return LABEL
-    return WORD
-
-
 def lex(source: str) -> list[NotationToken]:
     """Split source into bracket, paren, label and word tokens.
 
@@ -157,35 +149,34 @@ def lex(source: str) -> list[NotationToken]:
     at most one leading or trailing dash) gets the label kind; whether it
     acts as a label is decided by its position during parsing.
     """
-    out: list[NotationToken] = []
-    kinds = dict(_DELIMS)  # token text -> kind, for this source only
-    ascii_only = source.isascii()
-    # Byte offset `byte_at` of character offset `char_at`, both at the end
-    # of the previous token; UTF-8 widths are only counted past ASCII.
-    char_at = byte_at = 0
-    for m in _TOKEN.finditer(source):
-        text = m.group()
-        if ascii_only:
-            start, end = m.span()
-        else:
-            start = byte_at + len(source[char_at:m.start()].encode("utf-8"))
-            try:
-                end = start + len(text.encode("utf-8"))
-            except UnicodeEncodeError:
-                # Only a word can hold a lone surrogate; whitespace cannot.
-                raise ParseError(
-                    "not valid Unicode: a word holds a lone surrogate", position=start
-                ) from None
-            char_at, byte_at = m.end(), end
-        kind = kinds.get(text)
-        if kind is None:
-            kind = kinds[text] = _classify(text)
-        out.append(NotationToken(kind, text, start, end))
-    return out
+    # Whitespace runs and tokens alternate; their running UTF-8 widths are
+    # the byte offsets, and character counts are those widths in ASCII.
+    parts = _TOKEN.split(source)
+    if source.isascii():
+        widths = map(len, parts)
+    else:
+        try:
+            widths = list(map(len, map(str.encode, parts)))
+        except UnicodeEncodeError:
+            at = 0  # only a word can hold a lone surrogate; whitespace cannot
+            for part in parts:
+                try:
+                    at += len(part.encode())
+                except UnicodeEncodeError:
+                    raise ParseError(
+                        "not valid Unicode: a word holds a lone surrogate", position=at
+                    ) from None
+    offsets = list(accumulate(widths, initial=0))
+    texts = parts[1::2]
+    # Token text -> kind, for this source only; any other text is a word.
+    kind_of = {**_DELIMS, **dict.fromkeys(filter(_LABEL_TEXT.fullmatch, set(texts)), LABEL)}
+    kinds = map(kind_of.get, texts, repeat(WORD))
+    return list(map(NotationToken, kinds, texts, offsets[1::2], offsets[2::2]))
 
 
 def _is_punct_text(text: str) -> bool:
-    return all(unicodedata.category(ch).startswith("P") for ch in text)
+    # No alphanumeric character is Unicode punctuation (checked over all code points).
+    return not text.isalnum() and all(unicodedata.category(ch).startswith("P") for ch in text)
 
 
 @dataclass(slots=True)
@@ -230,7 +221,7 @@ def _parse_label_token(tok: NotationToken, labels: dict) -> _Label:
     if parsed is None:
         m = _LABEL_SHAPE.match(tok.text)
         try:
-            cats = CategorySet.from_notation(m.group(2))
+            cats = canonical_set(m.group(2).split("+"))
         except InvalidCategory as exc:
             raise ParseError(str(exc), position=tok.start) from None
         parsed = labels[tok.text] = (cats, m.group(3), bool(m.group(4)), bool(m.group(1)))
@@ -547,7 +538,7 @@ def parse_passage(
         for child in reversed(node.children):
             cats = child.label.cats
             if child.una and UNA_MARKER not in cats:
-                cats = CategorySet(list(cats) + [UNA_MARKER])
+                cats = canonical_set(cats.labels + (UNA_MARKER,))
             stack.append((child, cats, node))
     extents = _extents(units)
     if not remote_requests:
@@ -706,7 +697,7 @@ class _Renderer:
                 # A leading label-shaped word would win label detection, so
                 # such a terminal falls back to a left-side label.
                 if self.side == "left" or (
-                    p.units[uid].kind == TERMINAL and _classify(tok.text) == LABEL
+                    p.units[uid].kind == TERMINAL and _LABEL_TEXT.fullmatch(tok.text)
                 ):
                     out.append(f"{glue}[{label}")
                     glue, label = "", None
@@ -723,7 +714,7 @@ class _Renderer:
                     raise RenderError(
                         f"unit {uid} ends with the literal word 'UNA', which the notation reserves"
                     )
-                elif label is None and out[-2] == UNA_MARKER and _classify(out[-1]) == LABEL:
+                elif label is None and out[-2] == UNA_MARKER and _LABEL_TEXT.fullmatch(out[-1]):
                     # A terminal with its label written first would end "UNA <label>]".
                     raise RenderError(
                         f"unit {uid} ends with the literal words 'UNA {tok.text}', which the"

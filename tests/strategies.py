@@ -9,6 +9,7 @@ references unambiguous when a passage is rendered back to text.
 `bracket_sources` draws text instead: token soup, or nested groups with
 dashed, indexed, `UNA` and `IMP` pieces and round-bracket groups, over a
 few words that also spell labels and markers, so that much of it parses.
+`unicode_bracket_sources` spells some of its words and spaces past ASCII.
 """
 
 import json
@@ -139,7 +140,9 @@ def _add_remotes(draw, units, edges, internal_ids):
         ):
             continue
         label = draw(st.sampled_from(["A", "P", "S", "C", "E"]))
-        edges.append(EdgeSpec(parent, target, label, True))
+        # Anywhere among the specs, so also before or between a parent's
+        # primary specs; their order alone fixes the order of children.
+        edges.insert(draw(st.integers(0, len(edges))), EdgeSpec(parent, target, label, True))
         added.add((parent, target))
 
 
@@ -217,6 +220,25 @@ def bracket_sources(draw):
         group = f" ({draw(st.sampled_from(sorted(reads)))} {draw(labels)})"
         text = text[:at] + group + text[at:]
     return text
+
+
+# Separators the lexer must step over in UTF-8 bytes: a space, U+00A0,
+# U+3000, U+001C and CRLF; and 2-, 3- and 4-byte spellings of three words.
+SEPARATORS = [" ", "\u00a0", "\u3000", "\x1c", "\r\n"]
+NON_ASCII = {"ann": "änn", "bo": "bō日", "cy": "c\U0001f600y"}
+
+
+@st.composite
+def unicode_bracket_sources(draw):
+    """`bracket_sources` with some words spelled past ASCII and each space
+    replaced by a separator drawn from SEPARATORS."""
+    text = draw(bracket_sources())
+    text = re.sub(
+        r"\b(?:ann|bo|cy)\b",
+        lambda m: NON_ASCII[m.group()] if draw(st.booleans()) else m.group(),
+        text,
+    )
+    return re.sub(" ", lambda m: draw(st.sampled_from(SEPARATORS)), text)
 
 
 def _rename(doc, old, new):

@@ -68,3 +68,18 @@ def test_base_projection():
 def test_notation_roundtrip():
     for text in ["A", "S+A", "CMR+P", "G+A", "P+UNA"]:
         assert CategorySet.from_notation(text).notation() == text
+
+
+def test_parser_stores_canonical_sets_only():
+    from uccakit import categories, parse_passage
+
+    found = []
+    for group in ("[A+S mine]", "[S+A mine]", "[A+S mine UNA]"):
+        p = parse_passage(f"[H {group} [D now]]")
+        (edge,) = [e for e in p.units["1"].outgoing if e.child == "2"]
+        found.append(edge.categories)
+    assert found[0] == found[1] == CategorySet.of("S", "A")
+    table = categories._CANONICAL_SETS
+    assert found[0] is found[1] is table[("S", "A")] and ("A", "S") not in table
+    assert found[2] is table[("S", "A", "UNA")]
+    assert all(cats.labels == key for key, cats in table.items())

@@ -19,6 +19,7 @@ from uccakit import (
     stats,
     to_interchange,
 )
+from uccakit import cli
 from uccakit.cli import entry_point, main
 
 from conftest import CORPUS_DIR, EDGE_DIR
@@ -333,6 +334,65 @@ class TestLoneSurrogateInterchange:
         assert err == f"{source}: not valid Unicode: a string holds a lone surrogate\n"
         assert "Traceback" not in err
         assert not list(tmp_path.glob("out/*"))
+
+
+class TestUndecodableFileName:
+    """A file name that is not valid UTF-8 fails that file, under every command."""
+
+    SCENE = b"[H [A John] [P ran] [P go]]\n"
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        """A bracket file named b\\xe9.txt, as the command line hands it over."""
+        raw = os.path.join(os.fsencode(tmp_path), b"b\xe9.txt")
+        with open(raw, "wb") as handle:
+            handle.write(self.SCENE)
+        return os.fsdecode(raw)
+
+    def message(self, tmp_path):
+        return f"{tmp_path}{os.sep}b\\xe9.txt: file name is not valid UTF-8\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["parse", "{bad}", "--out-dir", "{out}"],
+            ["validate", "{bad}", "--format", "json"],
+            ["convert", "{bad}", "--to", "json"],
+            ["score", "{good}", "{bad}"],
+            ["stats", "{bad}"],
+        ],
+        ids=["parse", "validate", "convert", "score", "stats"],
+    )
+    def test_exit_2_naming_the_file(self, capsys, tmp_path, bad, argv):
+        good = tmp_path / "good.txt"
+        good.write_bytes(self.SCENE)
+        names = {"bad": bad, "good": good, "out": tmp_path / "out"}
+        code, out, err = run(capsys, *(arg.format(**names) for arg in argv))
+        assert (code, out, err) == (2, "", self.message(tmp_path))
+        assert not list(tmp_path.glob("out/*"))
+
+    @pytest.mark.parametrize("command", ["parse", "validate", "stats"])
+    def test_keep_going_reads_the_next_file(self, capsys, monkeypatch, tmp_path, bad, command):
+        good = tmp_path / "good.txt"
+        good.write_bytes(self.SCENE)
+        split, read = cli.split_passages, []
+        monkeypatch.setattr(cli, "split_passages", lambda text: read.append(text) or split(text))
+        extra = ["--out-dir", str(tmp_path / "out")] if command == "parse" else []
+        code, out, err = run(capsys, command, bad, str(good), "--keep-going", *extra)
+        assert (code, out, err) == (2, "", self.message(tmp_path))
+        assert read == [self.SCENE.decode("utf-8")]
+        if command == "parse":
+            assert [p.name for p in tmp_path.glob("out/*")] == ["good.ucca.json"]
+
+    def test_process_exits_2_without_traceback(self, tmp_path, bad):
+        done = subprocess.run(
+            [sys.executable, "-m", "uccakit", "parse", bad, "--out-dir", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr == os.fsencode(self.message(tmp_path))
 
 
 def run_encoded(monkeypatch, encoding, *argv):

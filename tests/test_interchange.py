@@ -198,6 +198,36 @@ class TestWriterMatchesOracle:
 
 
 
+class TestWriterEdgeOrder:
+    """A remote edge may target a lower id than its parent's primary
+    children; the writer still lists each parent's edges by child id."""
+
+    def edge_pairs(self, data):
+        return [(e["parent"], e["child"]) for e in json.loads(data)["edges"]]
+
+    def test_remote_spec_before_the_primary_ones(self):
+        tokens = [Token(w, i) for i, w in enumerate(["x", "y", "z"])]
+        units = [UnitSpec("r", "internal"), UnitSpec("s1", "internal"), UnitSpec("s2", "internal")]
+        units += [UnitSpec(w, "terminal", (i,)) for i, w in enumerate(["x", "y", "z"])]
+        edges = [
+            EdgeSpec("r", "s1", "H"), EdgeSpec("r", "s2", "H"),
+            EdgeSpec("s1", "x", "A"), EdgeSpec("s1", "y", "P"),
+            EdgeSpec("s2", "x", "A", True), EdgeSpec("s2", "z", "P"),
+        ]
+        p = build_passage(tokens, units, edges)
+        data = to_interchange(p)
+        assert data == oracle_bytes(p)
+        # s2 is "4" and its primary child z is "5"; the remote target x is "2".
+        assert [c for parent, c in self.edge_pairs(data) if parent == "4"] == ["2", "5"]
+
+    def test_parsed_remote_to_an_earlier_unit(self):
+        p = parse_passage("[H [A x] [P y]] [H [P z] (x A)]")
+        data = to_interchange(p)
+        assert data == oracle_bytes(p)
+        assert [c for parent, c in self.edge_pairs(data) if parent == "4"] == ["2", "5"]
+        assert to_interchange(from_interchange(data)) == data
+
+
 class TestUnitOrder:
     """The writer lays units out as `Passage.units` iterates them."""
 
@@ -449,14 +479,14 @@ class TestReaderMessages:
         assert str(info.value) == "edge 0: unknown category label 'ZZ'"
 
     def test_label_cache_holds_canonical_lists_only(self):
-        from uccakit import interchange
+        from uccakit import categories
 
         doc = json.loads(EXPECTED_SMALL)
         for labels in (["A", "P"], ["P", "A"], ["A", "A", "P"], ["P", "A"]):
             doc["edges"][1]["categories"] = labels
             p = from_interchange(canonical_json_bytes(doc))
             assert p.units["1"].outgoing[0].categories.labels == ("P", "A")
-        cache = interchange._CATEGORY_SETS
+        cache = categories._CANONICAL_SETS
         assert ("P", "A") in cache and ("A", "P") not in cache
         assert all(categories.labels == key for key, categories in cache.items())
         # Lists that fail are never cached, so they fail the same way every time.

@@ -23,6 +23,7 @@ from uccakit import (
     from_interchange,
     is_scene_unit,
     isomorphic,
+    lex,
     parse_passage,
     render,
     score,
@@ -33,6 +34,7 @@ from uccakit import (
 )
 from uccakit.cli import main
 from uccakit.core import id_key
+from uccakit.notation import LABEL, WORD, ParseError
 from uccakit.validation import list_rules
 
 from conftest import CORPUS, corpus_ids
@@ -42,6 +44,7 @@ from strategies import (
     bracket_sources,
     mutated_documents,
     passages,
+    unicode_bracket_sources,
 )
 
 
@@ -343,3 +346,32 @@ def test_cli_convert_exits_0_or_2(source):
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+@settings(max_examples=300)
+@given(unicode_bracket_sources())
+def test_lex_spans_are_the_utf8_bytes_of_each_token(source):
+    raw = source.encode("utf-8")
+    end = 0
+    for tok in lex(source):
+        assert raw[tok.start:tok.end].decode("utf-8") == tok.text
+        # Only whitespace lies between tokens.
+        assert raw[end:tok.start].decode("utf-8").isspace() or end == tok.start
+        end = tok.end
+    assert not raw[end:].strip()
+
+
+@settings(max_examples=300)
+@given(unicode_bracket_sources(), st.sampled_from(["\ud800", "\udce9", "\udfff"]), st.data())
+def test_lex_reports_a_lone_surrogate_at_its_words_byte(source, surrogate, data):
+    words = [tok for tok in lex(source) if tok.kind in (WORD, LABEL)]
+    if not words:
+        return
+    tok = data.draw(st.sampled_from(words))
+    at = len(source.encode("utf-8")[:tok.start].decode("utf-8")) + data.draw(
+        st.integers(0, len(tok.text))
+    )
+    with pytest.raises(ParseError) as info:
+        lex(source[:at] + surrogate + source[at:])
+    assert type(info.value) is ParseError
+    assert info.value.position == tok.start

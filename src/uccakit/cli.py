@@ -83,17 +83,21 @@ def _read(path: str) -> bytes:
         raise _Failure(f"{path}: {exc}") from exc
 
 
-def _load_passages(
-    path: str,
-    source_format: str | None = None,
-    lenient_remotes: bool = False,
-) -> list[Passage]:
-    # The name becomes passage ids and output text, which are UTF-8.
+def _check_name(path: str) -> None:
+    # Names become passage ids and output text, which are UTF-8.
     try:
         path.encode("utf-8")
     except UnicodeEncodeError:
         shown = os.fsencode(path).decode("utf-8", "backslashreplace")
         raise _Failure(f"{shown}: file name is not valid UTF-8") from None
+
+
+def _load_passages(
+    path: str,
+    source_format: str | None = None,
+    lenient_remotes: bool = False,
+) -> list[Passage]:
+    _check_name(path)
     fmt = _detect_format(path, source_format)
     raw = _read(path)
     try:
@@ -134,6 +138,7 @@ def _config_from(args) -> dict[str, str]:
     path = args.config or os.environ.get("UCCA_CONFIG")
     if not path:
         return {}
+    _check_name(path)
     try:
         return load_config(path)
     except (OSError, ValueError) as exc:

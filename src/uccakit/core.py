@@ -248,14 +248,6 @@ def id_key(unit_id: str):
     return (len(unit_id), unit_id)
 
 
-def _as_category_set(value) -> CategorySet:
-    if isinstance(value, CategorySet):
-        return value
-    if isinstance(value, str):
-        return CategorySet.from_notation(value)
-    return CategorySet(value)
-
-
 def _gc_paused(func):
     """Run `func` with the cyclic garbage collector paused: builds make no cycles."""
     @wraps(func)
@@ -298,134 +290,179 @@ def build_passage(
         if tok.position != i:
             raise InvalidToken(f"token {tok.text!r} has position {tok.position}, expected {i}")
         if not tok.text:
-            raise InvalidToken(f"token {i} has empty text")
+            break  # `_build` names it
+    units = [(spec.id, spec.kind, spec.tokens) for spec in units]
+    edges = [(e.parent, e.child, e.categories, e.remote) for e in edges]
+    return _build(passage_id, tokens, units, edges, require_coverage)
 
-    specs: dict[str, UnitSpec] = {}
-    for spec in units:
-        if spec.id in specs:
-            raise DuplicateId(f"unit id {spec.id!r} appears twice")
-        if spec.kind not in _KINDS:
-            raise InvalidUnit(f"unit {spec.id!r} has unknown kind {spec.kind!r}")
-        specs[spec.id] = spec
 
-    edge_list = []
-    for e in edges:
-        if e.parent not in specs:
-            raise DanglingEdge(f"edge parent {e.parent!r} is not a declared unit")
-        if e.child not in specs:
-            raise DanglingEdge(f"edge child {e.child!r} is not a declared unit")
-        if not (isinstance(e, EdgeSpec) and isinstance(e.categories, CategorySet)):
-            e = EdgeSpec(e.parent, e.child, _as_category_set(e.categories), e.remote)
-        edge_list.append(e)
+def _build(passage_id, tokens, units, edges, require_coverage, writer_order=False):
+    """The checked passage of `tokens` (`Token`s at their positions),
+    `units` (id, kind, positions) and `edges` (parent, child, categories,
+    remote), a unit's children in the order of its edges.  Units whose ids
+    are "0"..."n-1" in pre-order keep them; others are renumbered.  With
+    writer_order, once steps 1 and 2 pass, the result is None unless the
+    ids are "0"..."n-1" and the edges come sorted by parent, then child.
 
-    outgoing: dict[str, list[EdgeSpec]] = {uid: [] for uid in specs}
-    primary_in: dict[str, list[EdgeSpec]] = {uid: [] for uid in specs}
-    seen_remote = set()
-    for e in edge_list:
-        outgoing[e.parent].append(e)
-        if e.remote:
-            key = (e.parent, e.child)
-            if key in seen_remote:
-                raise InvalidRemote(f"duplicate remote edge {e.parent!r} -> {e.child!r}")
-            seen_remote.add(key)
-            if e.parent == e.child:
-                raise InvalidRemote(f"remote edge from {e.parent!r} to itself")
+    The first fault in this order is raised, whichever pass finds it:
+    1. a token with empty text; 2. per unit, a duplicate id, then an
+    unknown kind; 3. per edge, a dangling parent, a dangling child, then
+    categories that do not convert; 4. per remote edge, a duplicate, then
+    one from a unit to itself; 5. a unit with several primary parents;
+    6. no units, no root, then several roots; 7. per unit, the rules of its
+    kind, then a root that is not internal; 8. per remote edge, a target
+    without a primary parent, then a copy of the primary edge; 9. units the
+    root does not reach; 10. a cycle through remote edges; 11. a token
+    claimed twice, then, with require_coverage, one claimed by no unit that
+    is not punctuation.
+    """
+    if not all([tok.text for tok in tokens]):
+        raise InvalidToken(f"token {[tok.text for tok in tokens].index('')} has empty text")
+    n = len(units)
+    ids = [uid for uid, kind, _ in units if kind in _KINDS]
+    index = dict(zip(ids, range(n)))
+    if len(index) < n:  # an unknown kind or a duplicate id
+        seen = set()
+        for uid, kind, _ in units:
+            if uid in seen:
+                raise DuplicateId(f"unit id {uid!r} appears twice")
+            if kind not in _KINDS:
+                raise InvalidUnit(f"unit {uid!r} has unknown kind {kind!r}")
+            seen.add(uid)
+    preorder_ids = list(map(str, range(n)))
+
+    # One pass over the edges makes steps 3 to 5; the faults of steps 4 and
+    # 5 wait until every edge has passed step 3.
+    outgoing: list[list[Edge]] = [[] for _ in ids]
+    parent_of: list[int | None] = [None] * n
+    remotes: dict[tuple[int, int], None] = {}
+    bad_remote = ""
+    several_parents: list[int] = []
+    last = unsorted = 0
+    for parent, child, categories, remote in edges:
+        p, c = index.get(parent), index.get(child)
+        if p is None or c is None:
+            if writer_order:
+                return None
+            if p is None:
+                raise DanglingEdge(f"edge parent {parent!r} is not a declared unit")
+            raise DanglingEdge(f"edge child {child!r} is not a declared unit")
+        if not isinstance(categories, CategorySet):  # bracket notation or labels
+            categories = (CategorySet.from_notation(categories) if isinstance(categories, str)
+                          else CategorySet(categories))
+        if remote:
+            if p == c and not bad_remote:
+                bad_remote = f"remote edge from {parent!r} to itself"
+            elif (p, c) in remotes and not bad_remote:
+                bad_remote = f"duplicate remote edge {parent!r} -> {child!r}"
+            remotes[p, c] = None
+        elif parent_of[c] is None:
+            parent_of[c] = p
         else:
-            primary_in[e.child].append(e)
+            several_parents.append(c)
+        key = p * n + c
+        unsorted |= key < last
+        last = key
+        outgoing[p].append(Edge(parent, child, categories, remote))
+    if writer_order and (unsorted or ids != preorder_ids):
+        return None
+    if bad_remote:
+        raise InvalidRemote(bad_remote)
+    if several_parents:
+        uid = ids[min(several_parents)]
+        parents = ", ".join([repr(e[0]) for e in edges if not e[3] and e[1] == uid])
+        raise MultiplePrimaryParents(f"unit {uid!r} has primary parents {parents}")
 
-    for uid, incoming in primary_in.items():
-        if len(incoming) > 1:
-            parents = ", ".join(repr(e.parent) for e in incoming)
-            raise MultiplePrimaryParents(f"unit {uid!r} has primary parents {parents}")
-
-    if not specs:
+    if not n:
         raise InvalidUnit("passage has no units; expected one internal root")
-    roots = [uid for uid in specs if not primary_in[uid]]
-    if not roots:
-        raise PrimaryCycle("no unit without a primary parent; the primary edges form a cycle")
-    if len(roots) > 1:
+    if parent_of.count(None) != 1:
+        roots = [uid for uid, p in zip(ids, parent_of) if p is None]
+        if not roots:
+            raise PrimaryCycle("no unit without a primary parent; the primary edges form a cycle")
         raise MultipleRoots(f"units {roots!r} all lack a primary parent; expected exactly one root")
-    root = roots[0]
+    root = parent_of.index(None)
 
-    for uid, spec in specs.items():
-        is_root = uid == root
-        if spec.kind == TERMINAL:
-            if outgoing[uid]:
+    # With edges in (parent, child) order, the units are in pre-order when
+    # each unit's primary parent is on the path from the root to the one before.
+    in_preorder = root == 0 and not unsorted
+    path: list[int] = []
+    claimed = bytearray(len(tokens))
+    twice = False
+    for i, (uid, kind, positions) in enumerate(units):
+        out = outgoing[i]
+        if kind == TERMINAL:
+            if out:
                 raise InvalidUnit(f"terminal unit {uid!r} has outgoing edges")
-            if not spec.tokens:
+            if not positions:
                 raise InvalidUnit(f"terminal unit {uid!r} owns no tokens")
-            for pos in spec.tokens:
+            for pos in positions:
                 if not 0 <= pos < len(tokens):
                     raise InvalidUnit(f"unit {uid!r} claims token position {pos}, out of range")
                 if tokens[pos].is_punct:
-                    raise InvalidUnit(
-                        f"unit {uid!r} claims punctuation token {tokens[pos].text!r}"
-                    )
-            if len(spec.tokens) > 1 and len(set(spec.tokens)) < len(spec.tokens):
-                pos = next(p for i, p in enumerate(spec.tokens) if p in spec.tokens[:i])
+                    raise InvalidUnit(f"unit {uid!r} claims punctuation token {tokens[pos].text!r}")
+                twice |= claimed[pos]
+                claimed[pos] = 1
+            if twice and len(set(positions)) < len(positions):
+                pos = next(p for j, p in enumerate(positions) if p in positions[:j])
                 raise InvalidUnit(f"terminal unit {uid!r} lists token position {pos} twice")
         else:
-            if spec.tokens:
-                raise InvalidUnit(f"{spec.kind} unit {uid!r} must not own tokens")
-            if spec.kind == IMPLICIT and outgoing[uid]:
+            if positions:
+                raise InvalidUnit(f"{kind} unit {uid!r} must not own tokens")
+            if kind == IMPLICIT and out:
                 raise InvalidUnit(f"implicit unit {uid!r} has outgoing edges")
-            if spec.kind == INTERNAL and not outgoing[uid] and not is_root:
+            if kind == INTERNAL and not out and i != root:
                 raise InvalidUnit(f"internal unit {uid!r} has no children")
-        if is_root and spec.kind != INTERNAL:
-            raise InvalidUnit(f"root unit {uid!r} must be internal, not {spec.kind}")
+        if i == root and kind != INTERNAL:
+            raise InvalidUnit(f"root unit {uid!r} must be internal, not {kind}")
+        if in_preorder:
+            while path and path[-1] != parent_of[i]:
+                path.pop()
+            in_preorder = not (i and not path)
+            path.append(i)
 
-    for e in edge_list:
-        if e.remote:
-            if not primary_in[e.child]:
-                raise InvalidRemote(
-                    f"remote edge to {e.child!r}, which has no primary parent"
-                )
-            if primary_in[e.child][0].parent == e.parent:
-                raise InvalidRemote(
-                    f"remote edge {e.parent!r} -> {e.child!r} duplicates the primary edge"
-                )
+    for p, c in remotes:
+        if parent_of[c] is None:
+            raise InvalidRemote(f"remote edge to {ids[c]!r}, which has no primary parent")
+        if parent_of[c] == p:
+            raise InvalidRemote(f"remote edge {ids[p]!r} -> {ids[c]!r} duplicates the primary edge")
 
-    # One pre-order walk over primary edges renumbers the units and checks
-    # reachability.  Every non-root unit has exactly one primary parent, so
-    # the walk reaches each unit at most once, and a unit it never reaches
-    # sits on a cycle.
-    rename: dict[str, str] = {}
-    stack = [root]
-    while stack:
-        uid = stack.pop()
-        rename[uid] = str(len(rename))
-        if outgoing[uid]:
-            stack.extend([e.child for e in reversed(outgoing[uid]) if not e.remote])
-    if len(rename) != len(specs):
-        missing = sorted(set(specs) - rename.keys())
-        raise PrimaryCycle(f"units {missing!r} are not reachable from the root")
+    # Every non-root unit has exactly one primary parent, so a pre-order
+    # walk reaches each unit at most once, and a unit it never reaches sits
+    # on a cycle.
+    order = range(n)
+    if not in_preorder:
+        order = []
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            stack.extend([index[e.child] for e in reversed(outgoing[i]) if not e.remote])
+        if len(order) != n:
+            missing = sorted(set(ids) - {ids[i] for i in order})
+            raise PrimaryCycle(f"units {missing!r} are not reachable from the root")
 
     # Without remote edges the walk has already shown the graph is a tree.
-    if seen_remote:
-        _check_dag(specs, outgoing)
+    if remotes:
+        _check_dag(ids, dict(zip(ids, outgoing)))
 
-    claimed = [pos for spec in specs.values() if spec.kind == TERMINAL for pos in spec.tokens]
-    covered = set(claimed)
-    if len(covered) != len(claimed):
-        for pos, count in Counter(claimed).items():
-            if count > 1:
-                raise TokenCoverageGap(
-                    f"token {tokens[pos].text!r} (position {pos}) belongs to {count} units"
-                )
+    if twice:
+        claims = Counter(pos for _, kind, spots in units if kind == TERMINAL for pos in spots)
+        pos, count = next(item for item in claims.items() if item[1] > 1)
+        raise TokenCoverageGap(
+            f"token {tokens[pos].text!r} (position {pos}) belongs to {count} units"
+        )
     if require_coverage:
-        for tok in tokens:
-            if not tok.is_punct and tok.position not in covered:
-                raise TokenCoverageGap(
-                    f"token {tok.text!r} (position {tok.position}) belongs to no unit"
-                )
+        for i, t in enumerate(tokens):
+            if not t.is_punct and not claimed[i]:
+                raise TokenCoverageGap(f"token {t.text!r} (position {i}) belongs to no unit")
 
-    units = []
-    for old, new in rename.items():
-        spec = specs[old]
-        edges = [Edge(new, rename[e.child], e.categories, e.remote) for e in outgoing[old]]
-        units.append((new, spec.kind, spec.tokens, edges))
+    if (ids if in_preorder else [ids[i] for i in order]) != preorder_ids:
+        rename = dict(zip([ids[i] for i in order], preorder_ids))
+        units = [(rename[uid], kind, positions) for uid, kind, positions in units]
+        outgoing = [[Edge(rename[e.parent], rename[e.child], e.categories, e.remote) for e in out]
+                    for out in outgoing]
+    units = [(*units[i], outgoing[i]) for i in order]
     return _assemble(passage_id, tokens, units, _extents(units))
-
 
 def _extents(units) -> dict[str, frozenset[int]]:
     """Each unit's primary extent, for the units `_assemble` takes.  Only
@@ -436,11 +473,8 @@ def _extents(units) -> dict[str, frozenset[int]]:
         if kind == TERMINAL:
             extents[uid] = frozenset(positions)
         else:
-            agg: set[int] = set()
-            for e in outgoing:
-                if not e.remote:
-                    agg.update(extents[e.child])
-            extents[uid] = frozenset(agg)
+            children = [extents[e.child] for e in outgoing if not e.remote]
+            extents[uid] = frozenset().union(*children)
     return extents
 
 
@@ -465,25 +499,24 @@ def _assemble(passage_id, tokens, units, extents) -> Passage:
     return Passage(passage_id, tokens, final_units, "0", primary_parent, remotes, extents)
 
 
-def _check_dag(specs, outgoing) -> None:
+def _check_dag(ids, outgoing) -> None:
     # Primary edges are a tree by now, so any cycle goes through a remote.
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {uid: WHITE for uid in specs}
-    for start in specs:
+    color = dict.fromkeys(ids, WHITE)
+    for start in ids:
         if color[start] != WHITE:
             continue
-        stack: list[tuple[str, int]] = [(start, 0)]
         color[start] = GRAY
+        stack = [(start, iter(outgoing[start]))]
         while stack:
-            uid, idx = stack[-1]
-            if idx < len(outgoing[uid]):
-                stack[-1] = (uid, idx + 1)
-                child = outgoing[uid][idx].child
-                if color[child] == GRAY:
-                    raise RemoteCycle(f"remote edges create a cycle through unit {child!r}")
-                if color[child] == WHITE:
-                    color[child] = GRAY
-                    stack.append((child, 0))
+            uid, edges = stack[-1]
+            for e in edges:
+                if color[e.child] == GRAY:
+                    raise RemoteCycle(f"remote edges create a cycle through unit {e.child!r}")
+                if color[e.child] == WHITE:
+                    color[e.child] = GRAY
+                    stack.append((e.child, iter(outgoing[e.child])))
+                    break
             else:
                 color[uid] = BLACK
                 stack.pop()

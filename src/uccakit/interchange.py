@@ -8,10 +8,10 @@ newline, tokens in position order, units and edges sorted by id.  Two
 equal passages therefore serialize to identical bytes, and serializing a
 just-deserialized document reproduces its bytes exactly.
 
-A document whose units are already "0"..."n-1" in pre-order, as the writer
-leaves them, loads in one checked pass; any other document goes through
-`build_passage`, which renumbers it, and a document that fails a check
-goes there too, so that every error is the one `build_passage` raises.
+Loading checks the decoded tables with the checker behind `build_passage`,
+so a document fails with the error `build_passage` raises for the same
+tables.  Units already "0"..."n-1" in pre-order, as the writer leaves them,
+keep their ids; any others are renumbered.
 """
 
 from __future__ import annotations
@@ -27,17 +27,12 @@ from .core import (
     INTERNAL,
     TERMINAL,
     Edge,
-    EdgeSpec,
     Passage,
-    RemoteCycle,
     Token,
     UccaError,
-    UnitSpec,
-    _assemble,
-    _check_dag,
-    _extents,
+    _build,
     _gc_paused,
-    build_passage,
+    build_passage,  # unused here; bench/tracing.py patches this name
     id_key,
 )
 
@@ -135,17 +130,14 @@ def _fail(message: str) -> None:
 
 def _field(obj: dict, key: str, kind: type, what: str, index: int | None = None):
     """obj[key], checked to be of `kind`.  The failure message names the
-    record as `what` or `what index`; it is only formatted on failure."""
+    record as `what` or `what index`."""
+    where = what if index is None else f"{what} {index}"
     if key not in obj:
-        _fail(f"{_where(what, index)} is missing {key!r}")
+        _fail(f"{where} is missing {key!r}")
     value = obj[key]
     if not isinstance(value, kind):
-        _fail(f"{_where(what, index)}: {key!r} must be {kind.__name__}")
+        _fail(f"{where}: {key!r} must be {kind.__name__}")
     return value
-
-
-def _where(what: str, index: int | None) -> str:
-    return what if index is None else f"{what} {index}"
 
 
 @_gc_paused
@@ -192,23 +184,24 @@ def from_interchange(data: bytes | str) -> Passage:
     if not isinstance(passage_id, str):
         _fail("'id' must be a string")
 
+    # Decoded JSON holds exact types, so `type(x) is str` is the isinstance
+    # test; `_field` is called only to raise its message.
     raw_tokens = _field(doc, "tokens", list, "document")
     tokens = []
     for i, entry in enumerate(raw_tokens):
-        if not isinstance(entry, dict):
+        if type(entry) is not dict:
             _fail(f"token {i} must be an object")
-        text = _field(entry, "text", str, "token", i)
-        is_punct = entry.get("is_punct", False)
-        if not isinstance(is_punct, bool):
+        text, is_punct = entry.get("text"), entry.get("is_punct", False)
+        if type(text) is not str:
+            _field(entry, "text", str, "token", i)
+        if type(is_punct) is not bool:
             _fail(f"token {i}: 'is_punct' must be a boolean")
         tokens.append(Token(text, i, is_punct))
 
-    # Decoded JSON holds exact types, so `type(x) is str` is the isinstance
-    # test; `_field` is called only to raise its message.
     raw_units = _field(doc, "units", list, "document")
     units = []
     for i, entry in enumerate(raw_units):
-        if not isinstance(entry, dict):
+        if type(entry) is not dict:
             _fail(f"unit {i} must be an object")
         uid, kind = entry.get("id"), entry.get("kind")
         if type(uid) is not str or kind not in (TERMINAL, INTERNAL, IMPLICIT):
@@ -224,96 +217,25 @@ def from_interchange(data: bytes | str) -> Passage:
     raw_edges = _field(doc, "edges", list, "document")
     edges = []
     for i, entry in enumerate(raw_edges):
-        if not isinstance(entry, dict):
+        if type(entry) is not dict:
             _fail(f"edge {i} must be an object")
         parent, child, labels = entry.get("parent"), entry.get("child"), entry.get("categories")
         if type(parent) is not str or type(child) is not str or type(labels) is not list:
             for key, kind in (("parent", str), ("child", str), ("categories", list)):
                 _field(entry, key, kind, "edge", i)
         remote = entry.get("remote", False)
-        if not isinstance(remote, bool):
+        if type(remote) is not bool:
             _fail(f"edge {i}: 'remote' must be a boolean")
         try:
             categories = canonical_set(labels)
         except InvalidCategory as exc:
             _fail(f"edge {i}: {exc}")
         edges.append((parent, child, categories, remote))
-
     tokens = tuple(tokens)
-    passage = _load_in_preorder(passage_id, tokens, units, edges)
-    if passage is not None:
-        return passage
-    # Sorting primary edges by child id recreates each unit's child order
-    # for documents we wrote, since pre-order numbering follows it.
-    edges.sort(key=lambda e: (id_key(e[0]), id_key(e[1])))
-    units = [UnitSpec(uid, kind, tuple(positions)) for uid, kind, positions in units]
-    edges = [EdgeSpec(*e) for e in edges]
-    return build_passage(tokens, units, edges, passage_id=passage_id, require_coverage=False)
-
-
-def _load_in_preorder(passage_id, tokens, units, edges) -> Passage | None:
-    """The passage of a document whose units are "0"..."n-1" in pre-order,
-    or None if they are not or if `build_passage` would raise: one pass over
-    the edges and one over the units make every check it makes on them."""
-    n = len(units)
-    ids = [uid for uid, _, _ in units]
-    if not n or ids != list(map(str, range(n))) or not all([t.text for t in tokens]):
-        return None
-    index = dict(zip(ids, range(n)))
-    outgoing: list[list[Edge]] = [[] for _ in ids]
-    parent_of: list[int | None] = [None] * n
-    remotes = set()
-    # The writer lists edges by parent, then child; other orders are sorted.
-    last = unsorted = 0
-    for parent, child, categories, remote in edges:
-        p, c = index.get(parent), index.get(child)
-        if p is None or c is None:
-            return None
-        if remote:
-            if p == c or (p, c) in remotes:
-                return None
-            remotes.add((p, c))
-        elif parent_of[c] is None:
-            parent_of[c] = p
-        else:
-            return None
-        key = p * n + c
-        unsorted += key < last
-        last = key
-        outgoing[p].append(Edge(parent, child, categories, remote))
-    if unsorted:
-        for out in outgoing:
-            out.sort(key=lambda e: index[e.child])
-    if any(parent_of[c] in (None, p) for p, c in remotes):
-        return None
-    if units[0][1] != INTERNAL or parent_of[0] is not None:
-        return None
-
-    # Ids are in pre-order exactly when each unit's primary parent lies on
-    # the path from the root to the unit before it.
-    path: list[int] = []
-    claimed = bytearray(len(tokens))
-    for i, (_, kind, positions) in enumerate(units):
-        parent = parent_of[i]
-        while path and path[-1] != parent:
-            path.pop()
-        if i and not path:
-            return None
-        path.append(i)
-        out = outgoing[i]
-        if kind == TERMINAL:
-            if out or not positions:
-                return None
-            for pos in positions:
-                if not 0 <= pos < len(tokens) or tokens[pos].is_punct or claimed[pos]:
-                    return None
-                claimed[pos] = 1
-        elif positions or (kind == IMPLICIT and out) or (kind == INTERNAL and i and not out):
-            return None
-    if remotes:
-        try:
-            _check_dag(ids, dict(zip(ids, outgoing)))
-        except RemoteCycle:
-            return None
-    units = [(*unit, out) for unit, out in zip(units, outgoing)]
-    return _assemble(passage_id, tokens, units, _extents(units))
+    # Children come in id order.  Edges out of the writer's order are sorted
+    # by parent, then child id, which puts each unit's children in order.
+    passage = _build(passage_id, tokens, units, edges, False, writer_order=True)
+    if passage is None:
+        edges.sort(key=lambda e: (id_key(e[0]), id_key(e[1])))
+        passage = _build(passage_id, tokens, units, edges, False)
+    return passage

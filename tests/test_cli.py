@@ -371,6 +371,21 @@ class TestUndecodableFileName:
         assert (code, out, err) == (2, "", self.message(tmp_path))
         assert not list(tmp_path.glob("out/*"))
 
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_config_file_named_alike(self, capsys, monkeypatch, tmp_path, source):
+        raw = os.path.join(os.fsencode(tmp_path), b"x\xe9.cfg")
+        with open(raw, "wb") as handle:
+            handle.write(b"R1 = off\n")
+        good = tmp_path / "good.txt"
+        good.write_bytes(self.SCENE)
+        if source == "flag":
+            code, out, err = run(capsys, "validate", str(good), "--config", os.fsdecode(raw))
+        else:
+            monkeypatch.setenv("UCCA_CONFIG", os.fsdecode(raw))
+            code, out, err = run(capsys, "validate", str(good))
+        expected = f"{tmp_path}{os.sep}x\\xe9.cfg: file name is not valid UTF-8\n"
+        assert (code, out, err) == (2, "", expected)
+
     @pytest.mark.parametrize("command", ["parse", "validate", "stats"])
     def test_keep_going_reads_the_next_file(self, capsys, monkeypatch, tmp_path, bad, command):
         good = tmp_path / "good.txt"

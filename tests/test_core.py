@@ -17,6 +17,7 @@ from uccakit import (
     UnitSpec,
     UnknownUnit,
     build_passage,
+    canonical_json_bytes,
     from_interchange,
     is_scene_unit,
     isomorphic,
@@ -260,6 +261,98 @@ def test_build_error_message(tokens, units, edges, error, message):
         build_passage(tokens, units, edges)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def as_document(tokens, units, edges) -> bytes:
+    """The tables as an interchange document, in their own order."""
+    return canonical_json_bytes({
+        "format_version": "1",
+        "id": "passage",
+        "tokens": [{"is_punct": t.is_punct, "text": t.text} for t in tokens],
+        "units": [{"id": u.id, "kind": u.kind, "tokens": list(u.tokens)} for u in units],
+        "edges": [
+            {"categories": [e.categories], "child": e.child, "parent": e.parent, "remote": e.remote}
+            for e in edges
+        ],
+    })
+
+
+# A scene "a b" whose scene h also holds an internal unit s over "a", so that
+# a remote edge s -> h closes a cycle: root r, then h, s, t and u.
+_NESTED = [_UNITS[0], _UNITS[1], UnitSpec("s", "internal"), _UNITS[2], _UNITS[3]]
+_NESTED_EDGES = [
+    EdgeSpec("r", "h", "H"), EdgeSpec("h", "s", "A"),
+    EdgeSpec("h", "u", "P"), EdgeSpec("s", "t", "C"),
+]
+_REMOTE_CYCLE = [EdgeSpec("s", "h", "A", True)]
+_UNREACHABLE = [UnitSpec("x", "internal"), UnitSpec("y", "internal")]
+_UNREACHABLE_EDGES = [EdgeSpec("x", "y", "A"), EdgeSpec("y", "x", "A")]
+# The same nested scene with the writer's ids, "0"..."4" in pre-order.
+_PREORDER = [UnitSpec(str(i), u.kind, u.tokens) for i, u in enumerate(_NESTED)]
+_PREORDER_EDGES = [EdgeSpec("0", "1", "H"), EdgeSpec("1", "2", "A"), EdgeSpec("1", "4", "P"),
+                   EdgeSpec("2", "1", "A", True), EdgeSpec("2", "3", "C")]
+
+
+@pytest.mark.parametrize(
+    "tokens, units, edges, error, message",
+    [
+        ([Token("a", 0), Token("", 1)], _UNITS + [UnitSpec("t", "terminal", (0,))], _EDGES,
+         InvalidToken, "token 1 has empty text"),
+        (toks("a b"), _UNITS + [UnitSpec("h", "internal")], [EdgeSpec("ghost", "t", "A")] + _EDGES,
+         DuplicateId, "unit id 'h' appears twice"),
+        (toks("a b"), _UNITS,
+         [EdgeSpec("r", "u", "A", True)] * 2 + _EDGES + [EdgeSpec("h", "ghost", "A")],
+         DanglingEdge, "edge child 'ghost' is not a declared unit"),
+        (toks("a b"), _UNITS,
+         [EdgeSpec("r", "t", "A")] + _EDGES + [EdgeSpec("h", "h", "A", True)],
+         InvalidRemote, "remote edge from 'h' to itself"),
+        (toks("a b"), _UNITS + [UnitSpec("s", "internal")], _EDGES + [EdgeSpec("r", "u", "A")],
+         MultiplePrimaryParents, "unit 'u' has primary parents 'h', 'r'"),
+        (toks("a b"),
+         _UNITS[:2] + [UnitSpec("t", "terminal"), _UNITS[3], UnitSpec("s", "internal")],
+         _EDGES, MultipleRoots,
+         "units ['r', 's'] all lack a primary parent; expected exactly one root"),
+        (toks("a b"), _UNITS[:3] + [UnitSpec("u", "terminal", (5,))],
+         [EdgeSpec("h", "r", "A", True)] + _EDGES,
+         InvalidUnit, "unit 'u' claims token position 5, out of range"),
+        (toks("a b"),
+         [_UNITS[0], UnitSpec("e", "internal")] + _UNITS[1:3] + [UnitSpec("u", "terminal")],
+         [EdgeSpec("r", "e", "A")] + _EDGES,
+         InvalidUnit, "internal unit 'e' has no children"),
+        (toks("a b"), _UNITS + _UNREACHABLE,
+         _EDGES + _UNREACHABLE_EDGES + [EdgeSpec("h", "t", "A", True)],
+         InvalidRemote, "remote edge 'h' -> 't' duplicates the primary edge"),
+        (toks("a b"), _NESTED + _UNREACHABLE, _NESTED_EDGES + _UNREACHABLE_EDGES + _REMOTE_CYCLE,
+         PrimaryCycle, "units ['x', 'y'] are not reachable from the root"),
+        (toks("a b"), (_NESTED + _UNREACHABLE)[::-1],
+         _NESTED_EDGES + _UNREACHABLE_EDGES + _REMOTE_CYCLE,
+         PrimaryCycle, "units ['x', 'y'] are not reachable from the root"),
+        (toks("a b"), _NESTED[:3] + [UnitSpec("t", "terminal", (0, 1)), _NESTED[4]],
+         _NESTED_EDGES + _REMOTE_CYCLE,
+         RemoteCycle, "remote edges create a cycle through unit 'h'"),
+        (toks("a b"), _PREORDER[:3] + [UnitSpec("3", "terminal", (0, 1)), _PREORDER[4]],
+         _PREORDER_EDGES, RemoteCycle, "remote edges create a cycle through unit '1'"),
+    ],
+    ids=[
+        "empty-text-before-duplicate-id", "duplicate-id-before-dangling-edge",
+        "dangling-edge-before-duplicate-remote", "remote-to-itself-before-second-parent",
+        "second-parent-before-several-roots", "several-roots-before-tokenless-terminal",
+        "out-of-range-before-remote-to-root", "earlier-unit-first",
+        "remote-copy-before-unreachable-units", "unreachable-before-remote-cycle",
+        "shuffled-units", "remote-cycle-before-double-claim", "preorder-ids",
+    ],
+)
+def test_first_fault_in_check_order(tokens, units, edges, error, message):
+    """Two faults from adjacent steps of the check order: the earlier step
+    wins wherever its fault sits, from spec tables and from a document."""
+    for build in (
+        lambda: build_passage(tokens, units, edges),
+        lambda: from_interchange(as_document(tokens, units, edges)),
+    ):
+        with pytest.raises(error) as caught:
+            build()
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
 
 def test_yield_non_contiguous():

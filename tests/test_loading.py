@@ -167,7 +167,8 @@ def test_cli_calls_patched_name(name, monkeypatch, capsys, tmp_path, interchange
 
 def test_parser_lexes_once_through_its_module_global(monkeypatch):
     # A tracer times the tokenizer by patching `uccakit.notation.lex`, and
-    # parse-time `build_passage` by the name `uccakit.notation.build_passage`.
+    # `build_passage` by the names `uccakit.notation.build_passage` and
+    # `uccakit.interchange.build_passage`.
     from uccakit import notation
 
     original = notation.lex
@@ -181,3 +182,4 @@ def test_parser_lexes_once_through_its_module_global(monkeypatch):
     notation.parse_passage(KICKED.read_text())
     assert len(calls) == 1
     assert notation.build_passage is uccakit.build_passage
+    assert uccakit.interchange.build_passage is uccakit.build_passage

@@ -219,8 +219,7 @@ CYCLE_FREE_SOURCE = "[H [A John] [P- took] [A [F a] [C shower] ] [-P up] (IMP D)
 
 
 def renumbered(data: bytes) -> bytes:
-    """The document with its unit ids renamed, so that it loads through
-    `build_passage` and not the pre-order fast path."""
+    """The document with its unit ids renamed, so that loading renumbers it."""
     doc = json.loads(data)
     for unit in doc["units"]:
         unit["id"] = "u" + unit["id"]
@@ -327,7 +326,7 @@ PAUSED = {
         from_interchange,
         lambda: (to_interchange(parse_passage(CYCLE_FREE_SOURCE)),),
         "interchange",
-        "_assemble",
+        "_build",
     ),
     "build_passage": (
         build_passage, lambda: spec_tables(parse_passage(CYCLE_FREE_SOURCE)), "core", "_assemble"
@@ -368,9 +367,9 @@ class TestCollectorPause:
         assert gc.isenabled() is enabled
         assert inside == [False]
 
-    def test_fallback_build_keeps_the_pause(self, monkeypatch, collector):
+    def test_renumbering_keeps_the_pause(self, monkeypatch, collector):
         data = renumbered(to_interchange(parse_passage(CYCLE_FREE_SOURCE)))
-        real = uccakit.interchange.build_passage
+        real = uccakit.interchange._build
         seen = []
 
         def probe(*a, **kw):
@@ -379,10 +378,10 @@ class TestCollectorPause:
             seen.append(gc.isenabled())
             return passage
 
-        monkeypatch.setattr(uccakit.interchange, "build_passage", probe)
+        monkeypatch.setattr(uccakit.interchange, "_build", probe)
         gc.enable()
         assert isinstance(from_interchange(data), Passage)
-        assert seen == [False, False]
+        assert seen == [False] * 4  # the writer-order check, then the sorted build
         assert gc.isenabled()
 
     @pytest.mark.parametrize(

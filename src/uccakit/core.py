@@ -546,16 +546,21 @@ def yield_of(passage: Passage, unit_id: str, include_remote: bool = False) -> fr
     return frozenset(agg)
 
 
-def is_scene_unit(passage: Passage, unit_id: str) -> bool:
-    """True if the unit contains a main relation (a P or S child edge).
+def main_relations(unit: Unit) -> int:
+    """How many of the unit's child edges carry a main relation (P or S).
 
     Remote child edges count: a scene whose process is shared with an
     earlier scene still describes a scene.
     """
+    return sum("P" in e.categories.labels or "S" in e.categories.labels for e in unit.outgoing)
+
+
+def is_scene_unit(passage: Passage, unit_id: str) -> bool:
+    """True if the unit contains a main relation; see `main_relations`."""
     unit = passage.unit(unit_id)
     if unit.kind != INTERNAL:
         raise NotInternal(f"unit {unit_id!r} is {unit.kind}; only internal units can be scenes")
-    return any("P" in e.categories.labels or "S" in e.categories.labels for e in unit.outgoing)
+    return main_relations(unit) > 0
 
 
 @dataclass

@@ -179,13 +179,15 @@ def _is_punct_text(text: str) -> bool:
     return not text.isalnum() and all(unicodedata.category(ch).startswith("P") for ch in text)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class _Label:
+    """One label text, parsed once per parse and shared by every group using it."""
+
+    text: str
     cats: CategorySet
     index: str | None
     open_dash: bool
     close_dash: bool
-    tok: NotationToken
 
 
 @dataclass(slots=True)
@@ -203,29 +205,30 @@ class _Node:
     and is freed as soon as the parse is done with it.
     """
 
-    label: _Label | None
-    una: bool
+    start: int
     words: list[NotationToken]
     children: list["_Node"]
     parens: list[_RawParen]
-    start: int = 0
+    label: _Label | None = None
+    label_at: int = 0  # the label token's byte offset
+    una: bool = False
     positions: tuple[int, ...] = ()  # a terminal's, never empty
     uid: str = ""  # the unit's pre-order id, and its `Edge`s, once numbered
     outgoing: list | None = None
 
 
-def _parse_label_token(tok: NotationToken, labels: dict) -> _Label:
-    """The label `tok` spells.  `labels` memoises label text -> (categories,
-    index, open dash, close dash) over one parse."""
-    parsed = labels.get(tok.text)
-    if parsed is None:
+def _parse_label_token(tok: NotationToken, labels: dict[str, _Label]) -> _Label:
+    """The label `tok` spells.  `labels` memoises label text -> `_Label` over one parse."""
+    label = labels.get(tok.text)
+    if label is None:
         m = _LABEL_SHAPE.match(tok.text)
         try:
             cats = canonical_set(m.group(2).split("+"))
         except InvalidCategory as exc:
             raise ParseError(str(exc), position=tok.start) from None
-        parsed = labels[tok.text] = (cats, m.group(3), bool(m.group(4)), bool(m.group(1)))
-    return _Label(*parsed, tok)
+        label = _Label(tok.text, cats, m.group(3), bool(m.group(4)), bool(m.group(1)))
+        labels[tok.text] = label
+    return label
 
 
 def _label_hint(picks) -> None:
@@ -240,73 +243,66 @@ def _label_hint(picks) -> None:
 def _parse_tree(source: str) -> _Node:
     """The unlabeled root over the bracket groups of `source`, unresolved.
 
-    One pass over the tokens with a stack of open brackets; a group's
-    items are tokens, `_Node`s and `_RawParen`s in source order.
+    One pass per group: each open group, the root at the bottom of the
+    stack, sorts its words, child groups and round-bracket groups into
+    its own lists as they arrive, and `_finish_group` labels it at its ']'.
     """
     toks = iter(lex(source))
-    labels: dict = {}
-    stack: list[tuple[NotationToken | None, list]] = [(None, [])]
+    labels: dict[str, _Label] = {}
+    node = _Node(0, [], [], [])
+    stack: list[_Node] = []  # the groups enclosing `node`
     for tok in toks:
-        if tok.kind == LBRACKET:
-            stack.append((tok, []))
-        elif tok.kind == RBRACKET:
-            if len(stack) == 1:
+        kind = tok.kind
+        if kind == WORD or kind == LABEL:
+            node.words.append(tok)
+        elif kind == LBRACKET:
+            stack.append(node)
+            node = _Node(tok.start, [], [], [])
+            stack[-1].children.append(node)
+        elif kind == RBRACKET:
+            if not stack:
                 raise UnbalancedBrackets(
                     "']' without a matching '['", position=tok.start, found="']'"
                 )
-            group = _finish_group(*stack.pop(), labels)
-            stack[-1][1].append(group)
-        elif tok.kind == LPAREN:
-            stack[-1][1].append(_read_paren(tok, toks, labels))
-        elif tok.kind == RPAREN:
+            _finish_group(node, labels)
+            node = stack.pop()
+        elif kind == LPAREN:
+            node.parens.append(_read_paren(tok, toks, labels))
+        else:
             raise UnbalancedBrackets(
                 "')' without a matching '('", position=tok.start, found="')'"
             )
-        else:
-            stack[-1][1].append(tok)
-    if len(stack) > 1:
+    if stack:
         raise UnbalancedBrackets(
             "bracket opened here is never closed",
-            position=stack[-1][0].start,
+            position=node.start,
             expected="']'",
             found="end of input",
         )
-    by_type: dict[type, list] = {NotationToken: [], _Node: [], _RawParen: []}
-    for item in stack[0][1]:
-        by_type[type(item)].append(item)
-    return _Node(None, False, *by_type.values())
+    return node
 
 
-def _finish_group(open_tok: NotationToken, items: list, labels: dict) -> _Node:
-    """The group of `items`, classified in one pass over them; the label
-    and the UNA mark are words at either end of the group."""
-    words: list[NotationToken] = []
-    children: list[_Node] = []
-    parens: list[_RawParen] = []
-    for item in items:
-        if type(item) is _RawParen:
-            parens.append(item)
-        elif parens:
-            raise MisplacedRemote(
-                "round-bracket group must come at the end of its unit",
-                position=parens[0].start,
-            )
-        elif type(item) is _Node:
-            children.append(item)
-        else:
-            words.append(item)
-
+def _finish_group(node: _Node, labels: dict[str, _Label]) -> None:
+    """Label the group `node` at its ']': one pass per group, so all that is
+    left is the label and the UNA mark, words at either end of the group."""
+    words, children, parens = node.words, node.children, node.parens
     # Words before the first child or after the last one sit at an end of
-    # the group.  The word "UNA" always lexes as a label.
+    # the group.  Only round-bracket groups may follow a round-bracket group.
     after = children[-1].start if children else -1
-    una = False
+    if parens and max(after, words[-1].start if words else -1) > parens[0].start:
+        raise MisplacedRemote(
+            "round-bracket group must come at the end of its unit",
+            position=parens[0].start,
+        )
+
+    # The word "UNA" always lexes as a label.
     if words and words[-1].start > after and words[-1].text == UNA_MARKER:
         words.pop()
-        una = True
+        node.una = True
     elif len(words) > 1 and words[-2].start > after and words[-2].text == UNA_MARKER:
         if words[-1].kind == LABEL:
             del words[-2]
-            una = True
+            node.una = True
 
     head = words[0] if words and (not children or words[0].start < children[0].start) else None
     tail = words[-1] if words and words[-1].start > after else None
@@ -318,20 +314,20 @@ def _finish_group(open_tok: NotationToken, items: list, labels: dict) -> _Node:
         _label_hint((head, tail))
         raise ParseError(
             "bracket group has no category label",
-            position=open_tok.start,
+            position=node.start,
             expected="a label just inside '[' or just before ']'",
         )
-    label = _parse_label_token(label_tok, labels)
+    node.label = label = _parse_label_token(label_tok, labels)
+    node.label_at = label_tok.start
     if not words and not children and not parens and not (label.open_dash or label.close_dash):
         raise ParseError(
             "category label without any text; write the label beside its text,"
             " as in [A apple]",
             position=label_tok.start,
         )
-    return _Node(label, una, words, children, parens, open_tok.start)
 
 
-def _read_paren(open_tok: NotationToken, toks, labels: dict) -> _RawParen:
+def _read_paren(open_tok: NotationToken, toks, labels: dict[str, _Label]) -> _RawParen:
     """The round-bracket group opened by `open_tok`, read on from `toks`."""
     words: list[NotationToken] = []
     for tok in toks:
@@ -408,21 +404,21 @@ def _resolve(root: _Node) -> dict[_Node, _Node]:
                 key = (lab.cats.labels, lab.index)
                 if key in scope:
                     raise AmbiguousContinuation(
-                        f"'{lab.tok.text}' opened while an earlier fragment with the"
+                        f"'{lab.text}' opened while an earlier fragment with the"
                         " same label is still open; use digit indices such as A1- and A2-",
-                        position=lab.tok.start,
+                        position=target.label_at,
                     )
                 scope[key] = target
-                unfinished[target] = lab.tok.start
+                unfinished[target] = target.label_at
             continue
         lab = g.label
         if lab.close_dash:
             node = scopes.get(target, {}).get((lab.cats.labels, lab.index))
             if node is None:
                 raise OrphanContinuation(
-                    f"continuation '-{lab.tok.text.lstrip('-')}' has no open fragment"
+                    f"continuation '-{lab.text.lstrip('-')}' has no open fragment"
                     " among its siblings",
-                    position=lab.tok.start,
+                    position=g.label_at,
                 )
             unfinished.pop(node, None)
             node.una = node.una or g.una

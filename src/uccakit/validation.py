@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import IMPLICIT, INTERNAL, Passage, id_key, is_scene_unit
+from .core import IMPLICIT, INTERNAL, Passage, id_key, main_relations
 
 ERROR = "error"
 WARNING = "warning"
@@ -190,10 +190,10 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
     # One pass over the edges collects the units with an incoming UNA edge
     # and the scene units; incoming edges and extents come from the passage.
     una: set[str] = set()
-    scenes: set[str] = set()
+    scenes: dict[str, int] = {}  # scene unit -> its main-relation edges
     for uid, unit in units.items():
-        if unit.kind == INTERNAL and is_scene_unit(passage, uid):
-            scenes.add(uid)
+        if unit.kind == INTERNAL and (mains := main_relations(unit)):
+            scenes[uid] = mains
         for e in unit.outgoing:
             if "UNA" in e.categories.labels:
                 una.add(e.child)
@@ -208,10 +208,8 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
             continue
         labels = [e.categories.labels for e in unit.outgoing]
         present = set().union(*labels)
-        if uid in scenes:
-            mains = sum(1 for ls in labels if "P" in ls or "S" in ls)
-            if mains > 1:
-                report("R2", uid, f"scene unit has {mains} main-relation children")
+        if scenes.get(uid, 0) > 1:
+            report("R2", uid, f"scene unit has {scenes[uid]} main-relation children")
 
         if (
             uid != root

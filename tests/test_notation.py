@@ -454,11 +454,17 @@ class TestNonContiguity:
     def test_orphan_continuation(self):
         with pytest.raises(OrphanContinuation):
             parse_passage("[H [A John] [-P down] ]")
+        # Each group reports the error at its own label's offset.
+        with pytest.raises(OrphanContinuation) as err:
+            parse_passage("[H [A John] [-P down] [P- x] ]")
+        assert err.value.position == 13
 
     def test_nested_same_label_dashes_need_indices(self):
+        # Both fragments share one label text; the error is at the second.
         with pytest.raises(AmbiguousContinuation) as err:
             parse_passage("[H [A- w1] [A- w2] [-A w4] [-A w5] ]")
         assert "indices" in str(err.value)
+        assert err.value.position == 12
 
     def test_orphan_found_before_later_ambiguity(self):
         # Continuations are resolved depth-first: the orphan inside the
@@ -628,6 +634,16 @@ class TestParens:
     def test_remote_group_must_trail(self):
         with pytest.raises(MisplacedRemote):
             parse_passage("[H (John A) [P slept] ]")
+        # Reported at its unit's ']', at the first round-bracket group ...
+        for source in ("[H [A John] [P ran (John A) x]]", "[H [A John] [P ran (John A) [A x] ]]"):
+            with pytest.raises(MisplacedRemote) as err:
+                parse_passage(source)
+            assert str(err.value) == "byte 19: round-bracket group must come at the end of its unit"
+        # ... so an error inside a later child group comes first.
+        with pytest.raises(ParseError) as err:
+            parse_passage("[H [A John] [P ran (John A) [Q]]]")
+        assert type(err.value) is ParseError
+        assert str(err.value).startswith("byte 29: category label without any text")
 
     def test_implicit_unit(self):
         p = parse_passage("[H [P Come] [A here] , (IMP A) ]")

@@ -1,3 +1,6 @@
+import pathlib
+import re
+
 import pytest
 
 from uccakit import (
@@ -42,6 +45,12 @@ class TestRegistry:
     def test_registry_copy_is_private(self):
         list_rules().clear()
         assert len(list_rules()) == 15
+
+    def test_readme_table_matches_registry(self):
+        # The README's validator table repeats the registry by hand.
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| ([RW]\d+) +\| (\w+) +\|", readme, flags=re.M)
+        assert rows == [(r.id, r.severity) for r in list_rules()]
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=corpus_ids())

@@ -56,7 +56,8 @@ INTERCHANGE = "json"
 
 
 class _Failure(Exception):
-    """A per-file failure, reported on stderr and mapped to exit 2."""
+    """A failure, reported on stderr and mapped to exit 2.  `_each_file` reports
+    a file's and, with --keep-going, goes on to the next file; `main`, any other."""
 
     def __init__(self, message: str):
         super().__init__(message)
@@ -92,6 +93,11 @@ def _check_name(path: str) -> None:
         raise _Failure(f"{shown}: file name is not valid UTF-8") from None
 
 
+def _stem(path: str) -> str:
+    """The file name without `.txt`: the base of its passage ids and output names."""
+    return Path(path).name.removesuffix(".txt")
+
+
 def _load_passages(
     path: str,
     source_format: str | None = None,
@@ -105,7 +111,7 @@ def _load_passages(
             return [from_interchange(raw)]
         text = raw.decode("utf-8-sig")
         chunks = split_passages(text)
-        stem = Path(path).name.removesuffix(".txt")
+        stem = _stem(path)
         passages = []
         for i, chunk in enumerate(chunks, start=1):
             pid = stem if len(chunks) == 1 else f"{stem}.{i}"
@@ -146,7 +152,7 @@ def _config_from(args) -> dict[str, str]:
 
 
 def _out_path(path: str, out_dir: str | None, index: int, total: int) -> Path:
-    stem = Path(path).name.removesuffix(".txt")
+    stem = _stem(path)
     name = f"{stem}{FILE_EXTENSION}" if total == 1 else f"{stem}.{index}{FILE_EXTENSION}"
     directory = Path(out_dir) if out_dir else Path(path).parent
     return directory / name
@@ -170,68 +176,67 @@ def _flush(status: int, buffer: io.StringIO) -> int:
     return status
 
 
+def _each_file(args, run) -> int:
+    """Call `run(path)` for each of `args.paths` and return the worst status.
+    A failing file is reported on stderr and, unless --keep-going, ends the loop."""
+    status = OK
+    for path in args.paths:
+        try:
+            status = max(status, run(path))
+        except _Failure as failure:
+            print(failure.message, file=sys.stderr)
+            status = FAILURE
+            if not args.keep_going:
+                break
+    return status
+
+
 def cmd_parse(args) -> int:
     if args.out_dir:
         try:
             os.makedirs(args.out_dir, exist_ok=True)
         except OSError as exc:
-            print(f"{args.out_dir}: {exc}", file=sys.stderr)
-            return FAILURE
-    status = OK
+            raise _Failure(f"{args.out_dir}: {exc}") from exc
     buffer = io.StringIO()
     written_by: dict[Path, str] = {}
-    for path in args.paths:
-        try:
-            passages = _load_passages(path, lenient_remotes=args.lenient_remotes)
-            written = []
-            for i, passage in enumerate(passages, start=1):
-                target = _out_path(path, args.out_dir, i, len(passages))
-                earlier = written_by.setdefault(target.resolve(), path)
-                if earlier != path:
-                    raise _Failure(
-                        f"{target}: already written for {earlier}; {path} would overwrite it"
-                    )
-                try:
-                    target.write_bytes(to_interchange(passage))
-                except OSError as exc:
-                    raise _Failure(f"{target}: {exc}") from exc
-                written.append(str(target))
-            tokens = sum(len(p.tokens) for p in passages)
-            buffer.write(
-                f"{path}: {len(passages)} passage(s), {tokens} token(s) -> "
-                + ", ".join(written)
-                + "\n"
-            )
-        except _Failure as failure:
-            print(failure.message, file=sys.stderr)
-            status = FAILURE
-            if not args.keep_going:
-                break
-    return _flush(status, buffer)
+
+    def parse(path: str) -> int:
+        passages = _load_passages(path, lenient_remotes=args.lenient_remotes)
+        written = []
+        for i, passage in enumerate(passages, start=1):
+            target = _out_path(path, args.out_dir, i, len(passages))
+            earlier = written_by.setdefault(target.resolve(), path)
+            if earlier != path:
+                raise _Failure(
+                    f"{target}: already written for {earlier}; {path} would overwrite it"
+                )
+            try:
+                target.write_bytes(to_interchange(passage))
+            except OSError as exc:
+                raise _Failure(f"{target}: {exc}") from exc
+            written.append(str(target))
+        tokens = sum(len(p.tokens) for p in passages)
+        buffer.write(
+            f"{path}: {len(passages)} passage(s), {tokens} token(s) -> "
+            + ", ".join(written)
+            + "\n"
+        )
+        return OK
+
+    return _flush(_each_file(args, parse), buffer)
 
 
 def cmd_validate(args) -> int:
-    try:
-        config = _config_from(args)
-    except _Failure as failure:
-        print(failure.message, file=sys.stderr)
-        return FAILURE
-    status = OK
+    config = _config_from(args)
     buffer = io.StringIO()
     json_rows: list[dict] = []
-    for path in args.paths:
-        try:
-            passages = _load_passages(path, args.source_format)
-        except _Failure as failure:
-            print(failure.message, file=sys.stderr)
-            status = FAILURE
-            if not args.keep_going:
-                break
-            continue
-        for passage in passages:
+
+    def check(path: str) -> int:
+        status = OK
+        for passage in _load_passages(path, args.source_format):
             for d in validate(passage, config):
                 if d.severity == "error":
-                    status = max(status, DIAGNOSTICS)
+                    status = DIAGNOSTICS
                 if args.format == "json":
                     json_rows.append(
                         {
@@ -247,42 +252,37 @@ def cmd_validate(args) -> int:
                     buffer.write(
                         f"{path}: unit {d.unit}: {d.rule} {d.severity}: {d.message}\n"
                     )
+        return status
+
+    status = _each_file(args, check)
     if args.format == "json":
         buffer.write(canonical_json_bytes(json_rows).decode("utf-8"))
     return _flush(status, buffer)
 
 
 def cmd_convert(args) -> int:
-    try:
-        passage = _load_single(args.path, args.source_format)
-        target = args.to
-        if target is None:
-            source = _detect_format(args.path, args.source_format)
-            target = NOTATION if source == INTERCHANGE else INTERCHANGE
-        if target == INTERCHANGE:
-            _write_out(to_interchange(passage))
-        else:
-            try:
-                _write_out(render(passage, label_side=args.label_side) + "\n")
-            except UccaError as exc:
-                raise _Failure(f"{args.path}: {exc}") from exc
-    except _Failure as failure:
-        print(failure.message, file=sys.stderr)
-        return FAILURE
+    passage = _load_single(args.path, args.source_format)
+    target = args.to
+    if target is None:
+        source = _detect_format(args.path, args.source_format)
+        target = NOTATION if source == INTERCHANGE else INTERCHANGE
+    if target == INTERCHANGE:
+        _write_out(to_interchange(passage))
+    else:
+        try:
+            _write_out(render(passage, label_side=args.label_side) + "\n")
+        except UccaError as exc:
+            raise _Failure(f"{args.path}: {exc}") from exc
     return OK
 
 
 def cmd_score(args) -> int:
+    gold = _load_single(args.gold)
+    predicted = _load_single(args.predicted)
     try:
-        gold = _load_single(args.gold)
-        predicted = _load_single(args.predicted)
-        try:
-            report = score(gold, predicted)
-        except UccaError as exc:
-            raise _Failure(str(exc)) from exc
-    except _Failure as failure:
-        print(failure.message, file=sys.stderr)
-        return FAILURE
+        report = score(gold, predicted)
+    except UccaError as exc:
+        raise _Failure(str(exc)) from exc
     if args.format == "json":
         payload = report.to_dict()
         if args.mode != "all":
@@ -303,17 +303,14 @@ def cmd_score(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    status = OK
-    total = CategoryCounts()
-    for path in args.paths:
-        try:
-            for passage in _load_passages(path, args.source_format):
-                total = total + stats(passage)
-        except _Failure as failure:
-            print(failure.message, file=sys.stderr)
-            status = FAILURE
-            if not args.keep_going:
-                break
+    counts: list[CategoryCounts] = []
+
+    def count(path: str) -> int:
+        counts.extend(stats(passage) for passage in _load_passages(path, args.source_format))
+        return OK
+
+    status = _each_file(args, count)
+    total = sum(counts, CategoryCounts())
     buffer = io.StringIO()
     if args.format == "json":
         buffer.write(canonical_json_bytes(total.to_dict()).decode("utf-8"))
@@ -397,6 +394,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except _Failure as failure:
+        print(failure.message, file=sys.stderr)
+        return FAILURE
     except RecursionError:
         # Output is buffered per command, so nothing has reached stdout.
         print("uccakit: error: input nested too deeply to process", file=sys.stderr)

@@ -209,14 +209,15 @@ def bracket_sources(draw):
     round_group, nested = _CLEAN if kind > 1 else _ROUGH
     pieces = draw(st.lists(nested, min_size=1, max_size=4))
     text = " ".join(pieces + draw(st.lists(round_group, max_size=1)))
-    # Remote groups reading the words of an innermost bracket, each at the
-    # end of some bracket or of the text, so that references often resolve.
+    # Remote groups reading the words of an innermost bracket, so that
+    # references often resolve.  Each goes at the end of some bracket or of
+    # the text, where it belongs, or at any space, where it may be misplaced.
     reads = {
         " ".join(w for w in inner.split() if w.islower())
         for inner in re.findall(r"\[([^][()]*)\]", text)
     } - {""}
     for _ in range(draw(st.integers(0, 2)) if reads else 0):
-        at = draw(st.sampled_from([m.start() for m in re.finditer(r"\]", text)] + [len(text)]))
+        at = draw(st.sampled_from([m.start() for m in re.finditer(r"[] ]", text)] + [len(text)]))
         group = f" ({draw(st.sampled_from(sorted(reads)))} {draw(labels)})"
         text = text[:at] + group + text[at:]
     return text

@@ -13,6 +13,7 @@ from uccakit import (
     DanglingContinuation,
     from_interchange,
     isomorphic,
+    list_rules,
     parse_passage,
     render,
     score,
@@ -66,17 +67,19 @@ def test_corpus_conformance():
 
 
 def test_mutation_kill_rate():
-    killed = 0
+    killed = []
     for rule, source, severity, unit in MUTANTS:
         diags = validate(parse_passage(source))
         assert diag_triples(diags) == [(rule, severity, unit)], rule
-        killed += 1
+        killed.append(rule)
     assert diag_triples(validate(minimal_wrapper_passage())) == [
         ("R12", "warning", "7")
     ]
-    killed += 1
-    assert killed == 15
-    print(f"PASS mutation kill-rate: {killed}/15 rules each killed by one mutant")
+    killed.append("R12")
+    # Every registered rule has a mutant: a rule added without one fails here.
+    assert sorted(killed) == sorted(r.id for r in list_rules())
+    assert len(killed) == 15
+    print(f"PASS mutation kill-rate: {len(killed)}/15 rules each killed by one mutant")
 
 
 def test_round_trip_suite():

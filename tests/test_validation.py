@@ -151,6 +151,41 @@ class TestMutants:
         rules = [d.rule for d in validate(p)]
         assert "R5" in rules
 
+    def test_one_rules_diagnostics_on_one_unit_keep_their_order(self):
+        # Unit f is reached by a primary and a remote F edge and has a remote
+        # child, so R5 reports it twice: as a remote function word first, then
+        # as a function unit with remote children.
+        p = build_passage(
+            [Token("to", 0), Token("go", 1), Token("home", 2), Token("now", 3)],
+            [
+                UnitSpec("root", "internal"),
+                UnitSpec("h", "internal"),
+                UnitSpec("f", "internal"),
+                UnitSpec("to", "terminal", (0,)),
+                UnitSpec("go", "terminal", (1,)),
+                UnitSpec("home", "terminal", (2,)),
+                UnitSpec("h2", "internal"),
+                UnitSpec("now", "terminal", (3,)),
+            ],
+            [
+                EdgeSpec("root", "h", "H"),
+                EdgeSpec("h", "f", "F"),
+                EdgeSpec("f", "to", "C"),
+                EdgeSpec("h", "go", "P"),
+                EdgeSpec("h", "home", "A"),
+                EdgeSpec("f", "home", "A", remote=True),
+                EdgeSpec("root", "h2", "H"),
+                EdgeSpec("h2", "now", "P"),
+                EdgeSpec("h2", "f", "F", remote=True),
+            ],
+        )
+        assert [(d.rule, d.unit, d.message) for d in validate(p)] == [
+            ("R5", "2", "function word attached as remote: 'to'"),
+            ("R5", "2", "function unit has remote children: 'to'"),
+            ("W2", "2", "added edge carries only F: 'to'"),
+            ("R12", "6", "remote edge targets a unit wrapping an equally wide child: 'now'"),
+        ]
+
 
 class TestConfig:
     def test_parse_basic(self):

@@ -9,7 +9,6 @@ single one, because one unit can fill several roles at once (for example
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 BASE_LABELS = ("P", "S", "G", "A", "D", "T", "C", "E", "N", "Q", "R", "F", "H", "L")
@@ -46,7 +45,61 @@ class InvalidCategory(ValueError):
     """Raised for labels outside the inventory or ill-formed combinations."""
 
 
-@dataclass(frozen=True)
+def _frozen_setattr(self, name, value):
+    from dataclasses import FrozenInstanceError  # loaded only when raised
+
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    from dataclasses import FrozenInstanceError  # loaded only when raised
+
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def value_type(cls):
+    """Rebuild `cls` as a frozen record with one slot per annotated field.
+
+    Objects of one class are equal when their field tuples are, the hash
+    is that tuple's, repr names each field, `__match_args__` holds the
+    field names, and pickle and copy call the class with the field values.
+    Setting or deleting any attribute raises `FrozenInstanceError`.  Unless
+    `cls` defines its own, `__init__` stores each field through its slot's
+    member descriptor, half the time of `object.__setattr__`; class
+    attributes named like fields are the defaults.  This module, which
+    every other imports first, holds it so that it can build `CategorySet`.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    params = ", ".join(f"{n}=_default_{n}" if n in defaults else n for n in names)
+    sets = "".join(f"    _set_{n}(self, {n})\n" for n in names)
+    mine, theirs = ("".join(f"{who}.{n}," for n in names) for who in ("self", "other"))
+    shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+    namespace = {f"_default_{n}": value for n, value in defaults.items()}
+    exec(
+        f"def __init__(self, {params}):\n{sets}"
+        "def __eq__(self, other):\n"
+        f"    if other.__class__ is self.__class__:\n        return ({mine}) == ({theirs})\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash(({mine}))\n"
+        f"def __repr__(self):\n    return f'{{self.__class__.__qualname__}}({shown})'\n"
+        f"def __reduce__(self):\n    return self.__class__, ({mine})\n",
+        namespace,
+    )
+    # Methods that `cls` defines itself replace the generated ones.
+    body = {m: namespace[m] for m in ("__init__", "__eq__", "__hash__", "__repr__", "__reduce__")}
+    skip = (*names, "__dict__", "__weakref__")
+    body.update((k, v) for k, v in cls.__dict__.items() if k not in skip)
+    body.update(__slots__=names, __match_args__=names,
+                __setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+    new = type(cls)(cls.__name__, cls.__bases__, body)
+    new.__qualname__ = cls.__qualname__
+    # The generated `__init__` looks its slot setters up here when it runs.
+    namespace.update((f"_set_{n}", new.__dict__[n].__set__) for n in names)
+    return new
+
+
+@value_type
 class CategorySet:
     """An immutable, canonically ordered set of category labels.
 
@@ -61,6 +114,9 @@ class CategorySet:
     labels: tuple[str, ...]
 
     def __init__(self, labels: Iterable[str]):
+        if isinstance(labels, str):
+            raise InvalidCategory(f"CategorySet takes labels, not the string {labels!r}; "
+                                  "use CategorySet.of or CategorySet.from_notation")
         seen = []
         for label in labels:
             if label not in ALL_LABELS:

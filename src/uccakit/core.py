@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from functools import wraps
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .categories import CategorySet
+from .categories import CategorySet, value_type
 
 TERMINAL = "terminal"
 INTERNAL = "internal"
@@ -89,46 +88,6 @@ class UnknownUnit(UccaError):
 
 class NotInternal(UccaError):
     """An operation that needs an internal unit got a terminal or implicit one."""
-
-
-def _frozen_setattr(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def value_type(cls):
-    """Make `cls` a frozen dataclass with slots and a cheaper `__init__`.
-
-    The `__init__` that `dataclass(frozen=True)` would write sets each
-    field through `object.__setattr__`; this one calls each slot's member
-    descriptor instead, which takes about half the time.  Equality, hash
-    and repr are the dataclass's own.  Setting or deleting any attribute
-    raises `FrozenInstanceError`; the dataclass's own `__setattr__` and
-    `__delattr__` raise `TypeError` instead for a name that is not a field
-    once slots have replaced the class (CPython 3.10 to 3.13).
-    """
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    cls.__setattr__ = _frozen_setattr
-    cls.__delattr__ = _frozen_delattr
-    namespace = {}
-    params = []
-    body = []
-    for f in fields(cls):
-        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            namespace[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-        body.append(f"    _set_{f.name}(self, {f.name})\n")
-    exec(f"def __init__(self, {', '.join(params)}):\n{''.join(body)}", namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    return cls
 
 
 @value_type
@@ -563,32 +522,53 @@ def is_scene_unit(passage: Passage, unit_id: str) -> bool:
     return main_relations(unit) > 0
 
 
-@dataclass
 class CategoryCounts:
     """Aggregatable passage statistics.
 
     `categories` counts edges per category label; an edge with a combined
     category contributes once to each member label.  Addition merges
-    counts, so per-file statistics sum to corpus statistics.
+    counts, so per-file statistics sum to corpus statistics.  Equality and
+    repr go by the fields, in `__match_args__` order; the counts are
+    mutable and so unhashable.
     """
 
-    categories: dict[str, int] = field(default_factory=dict)
-    edges: int = 0
-    scene_units: int = 0
-    remote_edges: int = 0
-    implicit_units: int = 0
-    una_units: int = 0
-    tokens: int = 0
+    __slots__ = __match_args__ = (
+        "categories", "edges", "scene_units", "remote_edges", "implicit_units", "una_units",
+        "tokens",
+    )
+    __hash__ = None
+
+    def __init__(self, categories: dict[str, int] | None = None, edges: int = 0,
+                 scene_units: int = 0, remote_edges: int = 0, implicit_units: int = 0,
+                 una_units: int = 0, tokens: int = 0):
+        self.categories = {} if categories is None else categories
+        self.edges, self.scene_units, self.remote_edges = edges, scene_units, remote_edges
+        self.implicit_units, self.una_units, self.tokens = implicit_units, una_units, tokens
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={value!r}" for n, value in zip(self.__slots__, self._values()))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
     def __add__(self, other: "CategoryCounts") -> "CategoryCounts":
         merged = Counter(self.categories)
         merged.update(other.categories)
         # Every field after `categories` is a plain counter.
-        counters = [getattr(self, f.name) + getattr(other, f.name) for f in fields(self)[1:]]
+        counters = [a + b for a, b in zip(self._values()[1:], other._values()[1:])]
         return CategoryCounts(dict(merged), *counters)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = dict(zip(self.__slots__, self._values()))
         out["categories"] = dict(sorted(self.categories.items()))
         return out
 

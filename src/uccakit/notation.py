@@ -28,7 +28,6 @@ from __future__ import annotations
 import re
 import unicodedata
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 
 from .categories import ALL_LABELS, CategorySet, InvalidCategory, canonical_set
@@ -179,7 +178,7 @@ def _is_punct_text(text: str) -> bool:
     return not text.isalnum() and all(unicodedata.category(ch).startswith("P") for ch in text)
 
 
-@dataclass(frozen=True, slots=True)
+@value_type
 class _Label:
     """One label text, parsed once per parse and shared by every group using it."""
 
@@ -190,14 +189,13 @@ class _Label:
     close_dash: bool
 
 
-@dataclass(slots=True)
 class _RawParen:
-    words: list[str]
-    cats: CategorySet
-    start: int
+    __slots__ = ("words", "cats", "start")
+
+    def __init__(self, words: list[str], cats: CategorySet, start: int):
+        self.words, self.cats, self.start = words, cats, start
 
 
-@dataclass(eq=False, slots=True)
 class _Node:
     """One bracket group; after `_resolve`, one unit.  The root has no label.
 
@@ -205,16 +203,20 @@ class _Node:
     and is freed as soon as the parse is done with it.
     """
 
-    start: int
-    words: list[NotationToken]
-    children: list["_Node"]
-    parens: list[_RawParen]
-    label: _Label | None = None
-    label_at: int = 0  # the label token's byte offset
-    una: bool = False
-    positions: tuple[int, ...] = ()  # a terminal's, never empty
-    uid: str = ""  # the unit's pre-order id, and its `Edge`s, once numbered
-    outgoing: list | None = None
+    __slots__ = ("start", "words", "children", "parens", "label", "label_at", "una",
+                 "positions", "uid", "outgoing")
+
+    def __init__(self, start: int):
+        self.start = start
+        self.words: list[NotationToken] = []
+        self.children: list[_Node] = []
+        self.parens: list[_RawParen] = []
+        self.label: _Label | None = None
+        self.label_at = 0  # the label token's byte offset
+        self.una = False
+        self.positions: tuple[int, ...] = ()  # a terminal's, never empty
+        self.uid = ""  # the unit's pre-order id, and its `Edge`s, once numbered
+        self.outgoing: list | None = None
 
 
 def _parse_label_token(tok: NotationToken, labels: dict[str, _Label]) -> _Label:
@@ -249,7 +251,7 @@ def _parse_tree(source: str) -> _Node:
     """
     toks = iter(lex(source))
     labels: dict[str, _Label] = {}
-    node = _Node(0, [], [], [])
+    node = _Node(0)
     stack: list[_Node] = []  # the groups enclosing `node`
     for tok in toks:
         kind = tok.kind
@@ -257,7 +259,7 @@ def _parse_tree(source: str) -> _Node:
             node.words.append(tok)
         elif kind == LBRACKET:
             stack.append(node)
-            node = _Node(tok.start, [], [], [])
+            node = _Node(tok.start)
             stack[-1].children.append(node)
         elif kind == RBRACKET:
             if not stack:

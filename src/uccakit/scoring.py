@@ -14,16 +14,15 @@ implicit descendants).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .core import Passage, UccaError
+from .core import Passage, UccaError, value_type
 
 
 class TokenMismatch(UccaError):
     """The two passages disagree on the underlying token sequence."""
 
 
-@dataclass(frozen=True)
+@value_type
 class EdgeSignature:
     """What an edge asserts: this span, in these roles, possibly shared."""
 
@@ -49,7 +48,7 @@ def signatures(passage: Passage) -> list[EdgeSignature]:
     return [EdgeSignature(*key) for key in _edge_keys(passage)]
 
 
-@dataclass(frozen=True)
+@value_type
 class ClassScores:
     matched: int
     gold: int
@@ -79,7 +78,7 @@ class ClassScores:
         }
 
 
-@dataclass(frozen=True)
+@value_type
 class ScoreReport:
     labeled_primary: ClassScores
     labeled_remote: ClassScores

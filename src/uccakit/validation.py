@@ -13,9 +13,8 @@ rules, but never change which violations are detected.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
-from .core import IMPLICIT, INTERNAL, Edge, Passage, id_key, main_relations
+from .core import IMPLICIT, INTERNAL, Edge, Passage, id_key, main_relations, value_type
 
 ERROR = "error"
 WARNING = "warning"
@@ -24,7 +23,7 @@ OFF = "off"
 _EXCERPT = 40
 
 
-@dataclass(frozen=True)
+@value_type
 class RuleInfo:
     """One registered rule: identifier, default severity, what it checks,
     and where in the guidelines the restriction comes from."""
@@ -35,7 +34,7 @@ class RuleInfo:
     guideline_anchor: str
 
 
-@dataclass(frozen=True)
+@value_type
 class Diagnostic:
     rule: str
     severity: str

@@ -49,10 +49,13 @@ PUBLIC = {
 HOMES = [(name, module) for module, names in PUBLIC.items() for name in names]
 
 
-def loaded_by(code: str, *argv) -> tuple[set[str], str]:
-    """The uccakit modules a fresh interpreter holds after running `code`
-    with sys.argv[1:] = argv, and what `code` printed before the list."""
-    listing = "print(*sorted(m for m in sys.modules if m.startswith('uccakit')))"
+def loaded_by(code: str, *argv, watched: tuple[str, ...] = ()) -> tuple[set[str], str]:
+    """The uccakit modules, and those named in `watched`, that a fresh
+    interpreter holds after running `code` with sys.argv[1:] = argv, and
+    what `code` printed before the list."""
+    listing = (
+        f"print(*sorted(m for m in sys.modules if m.startswith('uccakit') or m in {watched!r}))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", f"import sys\n{code}\n{listing}", *map(str, argv)],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -111,6 +114,41 @@ class TestWhatLoads:
         modules = run_main(*(arg.format(json=interchange_file) for arg in argv))
         assert "uccakit.interchange" in modules
         assert not modules & {"uccakit.notation", "uccakit.validation"}
+
+
+# The standard modules that `dataclasses` pulls in; no command needs them.
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+@pytest.fixture(scope="module")
+def heavy_at_start():
+    """Those of HEAVY that a bare interpreter already holds (a site hook may load one)."""
+    modules, _ = loaded_by("pass", watched=HEAVY)
+    return modules & set(HEAVY)
+
+
+MAIN = "from uccakit.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        (MAIN, ["parse", str(KICKED), "--out-dir", "{dir}"]),
+        (MAIN, ["validate", str(KICKED)]),
+        (MAIN, ["stats", str(KICKED)]),
+        (MAIN, ["convert", str(KICKED), "--to", "json"]),
+        (MAIN, ["score", "{json}", "{json}", "--format", "json"]),
+        ("from uccakit import *", []),
+    ],
+    ids=["parse", "validate", "stats", "convert", "score", "star-import"],
+)
+def test_no_command_loads_dataclasses_or_inspect(
+    code, argv, heavy_at_start, tmp_path, interchange_file
+):
+    argv = [arg.format(json=interchange_file, dir=tmp_path) for arg in argv]
+    modules, _ = loaded_by(code, *argv, watched=HEAVY)
+    assert "uccakit.core" in modules  # the listing is the line read
+    assert modules & set(HEAVY) <= heavy_at_start
 
 
 class TestPublicSurface:

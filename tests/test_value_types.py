@@ -2,69 +2,122 @@
 
 These are pinned on literal examples so that a change to how the objects
 are built (slots, a generated `__init__`) or to how the lexer scans
-cannot change what callers see.
+cannot change what callers see.  Each example names its fields in order,
+so the field order is part of what is pinned.
 """
 
-import dataclasses
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from uccakit import CategorySet, Edge, EdgeSpec, Token, Unit, UnitSpec, lex
+from uccakit import (
+    CategoryCounts,
+    CategorySet,
+    ClassScores,
+    Diagnostic,
+    Edge,
+    EdgeSignature,
+    EdgeSpec,
+    InvalidCategory,
+    RuleInfo,
+    ScoreReport,
+    Token,
+    Unit,
+    UnitSpec,
+    lex,
+)
 from uccakit.notation import NotationToken
 
 A = CategorySet.of("A")
+MESSAGE = "function word attached as remote: 'to'"
 
+# (record, its field names in order, its field values, its repr)
 EXAMPLES = [
     (
         Token("John", 0),
+        ("text", "position", "is_punct"),
         ("John", 0, False),
         "Token(text='John', position=0, is_punct=False)",
     ),
     (
         Edge("0", "1", A),
+        ("parent", "child", "categories", "remote"),
         ("0", "1", A, False),
         "Edge(parent='0', child='1', categories=CategorySet(labels=('A',)), remote=False)",
     ),
     (
         Unit("1", "terminal", frozenset({0})),
+        ("id", "kind", "tokens", "outgoing"),
         ("1", "terminal", frozenset({0}), ()),
         "Unit(id='1', kind='terminal', tokens=frozenset({0}), outgoing=())",
     ),
     (
         UnitSpec("0", "internal"),
+        ("id", "kind", "tokens"),
         ("0", "internal", ()),
         "UnitSpec(id='0', kind='internal', tokens=())",
     ),
     (
         EdgeSpec("0", "1", A, True),
+        ("parent", "child", "categories", "remote"),
         ("0", "1", A, True),
         "EdgeSpec(parent='0', child='1', categories=CategorySet(labels=('A',)), remote=True)",
     ),
     (
         NotationToken("word", "John", 3, 7),
+        ("kind", "text", "start", "end"),
         ("word", "John", 3, 7),
         "NotationToken(kind='word', text='John', start=3, end=7)",
     ),
     (
+        EdgeSignature((0, 2), ("S", "A"), False),
+        ("tokens", "categories", "remote"),
+        ((0, 2), ("S", "A"), False),
+        "EdgeSignature(tokens=(0, 2), categories=('S', 'A'), remote=False)",
+    ),
+    (
+        ClassScores(1, 2, 3),
+        ("matched", "gold", "predicted"),
+        (1, 2, 3),
+        "ClassScores(matched=1, gold=2, predicted=3)",
+    ),
+    (
+        Diagnostic("R5", "error", "2", MESSAGE),
+        ("rule", "severity", "unit", "message"),
+        ("R5", "error", "2", MESSAGE),
+        "Diagnostic(rule='R5', severity='error', unit='2', "
+        "message=\"function word attached as remote: 'to'\")",
+    ),
+    (
+        RuleInfo("R1", "error", "one root", "2.1"),
+        ("id", "severity", "description", "guideline_anchor"),
+        ("R1", "error", "one root", "2.1"),
+        "RuleInfo(id='R1', severity='error', description='one root', guideline_anchor='2.1')",
+    ),
+    (
         CategorySet.of("A", "S"),
+        ("labels",),
         (("S", "A"),),
         "CategorySet(labels=('S', 'A'))",
     ),
 ]
-IDS = [type(obj).__name__ for obj, _, _ in EXAMPLES]
+IDS = [type(obj).__name__ for obj, _, _, _ in EXAMPLES]
 
 
-@pytest.mark.parametrize("obj, values, text", EXAMPLES, ids=IDS)
+@pytest.mark.parametrize("obj, names, values, text", EXAMPLES, ids=IDS)
 class TestValueObjects:
-    def test_fields_cannot_be_set_or_deleted(self, obj, values, text):
-        for f in dataclasses.fields(obj):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(obj, f.name, None)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(obj, f.name)
-        assert tuple(getattr(obj, f.name) for f in dataclasses.fields(obj)) == values
+    def test_fields_cannot_be_set_or_deleted(self, obj, names, values, text):
+        assert type(obj).__match_args__ == names
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+        assert tuple(getattr(obj, name) for name in names) == values
 
-    def test_equality_and_hash_follow_the_fields(self, obj, values, text):
+    def test_equality_and_hash_follow_the_fields(self, obj, names, values, text):
         twin = type(obj)(*values)
         assert twin == obj and not twin != obj
         assert hash(twin) == hash(obj) == hash(values)
@@ -73,21 +126,111 @@ class TestValueObjects:
             assert other != obj
         assert obj != values
 
-    def test_repr(self, obj, values, text):
+    def test_repr(self, obj, names, values, text):
         assert repr(obj) == text
 
 
-@pytest.mark.parametrize("obj", [obj for obj, _, _ in EXAMPLES[:-1]], ids=IDS[:-1])
-def test_slotted_without_instance_dict(obj):
+@pytest.mark.parametrize("obj, names", [example[:2] for example in EXAMPLES], ids=IDS)
+def test_slotted_without_instance_dict(obj, names):
     assert not hasattr(obj, "__dict__")
-    assert type(obj).__slots__ == tuple(f.name for f in dataclasses.fields(obj))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert type(obj).__slots__ == names
+    with pytest.raises(FrozenInstanceError):
         obj.extra = 1
 
 
 def test_category_set_field_cannot_be_added():
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(FrozenInstanceError):
         A.extra = 1
+
+
+@pytest.mark.parametrize("text", ["PA", "UNA", "A", ""])
+def test_category_set_refuses_a_bare_string(text):
+    # A string would be read one character at a time: "PA" as P+A.
+    with pytest.raises(InvalidCategory, match="CategorySet.of"):
+        CategorySet(text)
+
+
+SCORES = ClassScores(1, 2, 3)
+NONE = ClassScores(0, 0, 0)
+REPORT = ScoreReport(SCORES, NONE, SCORES, NONE, {"A": SCORES})
+REPORT_FIELDS = (
+    "labeled_primary", "labeled_remote", "unlabeled_primary", "unlabeled_remote", "per_category",
+)
+COUNTS_FIELDS = (
+    "categories", "edges", "scene_units", "remote_edges", "implicit_units", "una_units", "tokens",
+)
+
+
+def counts():
+    return CategoryCounts({"A": 2, "P": 1}, 3, 1, 0, 0, 0, 4)
+
+
+def test_score_report_is_frozen_equal_by_fields_and_unhashable():
+    assert type(REPORT).__match_args__ == REPORT_FIELDS
+    assert repr(REPORT) == (
+        "ScoreReport(labeled_primary=ClassScores(matched=1, gold=2, predicted=3), "
+        "labeled_remote=ClassScores(matched=0, gold=0, predicted=0), "
+        "unlabeled_primary=ClassScores(matched=1, gold=2, predicted=3), "
+        "unlabeled_remote=ClassScores(matched=0, gold=0, predicted=0), "
+        "per_category={'A': ClassScores(matched=1, gold=2, predicted=3)})"
+    )
+    for name in REPORT_FIELDS:
+        with pytest.raises(FrozenInstanceError):
+            setattr(REPORT, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(REPORT, name)
+    assert REPORT == ScoreReport(SCORES, NONE, SCORES, NONE, {"A": ClassScores(1, 2, 3)})
+    assert REPORT != ScoreReport(SCORES, NONE, SCORES, NONE, {"A": NONE})
+    assert REPORT != ScoreReport(SCORES, NONE, SCORES, SCORES, {"A": SCORES})
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(REPORT)
+
+
+def test_category_counts_are_mutable_equal_by_fields_and_unhashable():
+    c = counts()
+    assert type(c).__match_args__ == COUNTS_FIELDS
+    assert repr(c) == (
+        "CategoryCounts(categories={'A': 2, 'P': 1}, edges=3, scene_units=1, "
+        "remote_edges=0, implicit_units=0, una_units=0, tokens=4)"
+    )
+    assert c == counts() and not c != counts()
+    assert c != CategoryCounts({"A": 2, "P": 1}, 3, 1, 0, 0, 0, 5)
+    assert c != tuple(getattr(c, name) for name in COUNTS_FIELDS)
+    with pytest.raises(TypeError, match="unhashable type: 'CategoryCounts'"):
+        hash(c)
+    c.edges += 1
+    c.categories["D"] = 1
+    assert (c.edges, c.categories) == (4, {"A": 2, "P": 1, "D": 1})
+    assert CategoryCounts() == CategoryCounts({}, 0, 0, 0, 0, 0, 0)
+    fresh = CategoryCounts()
+    fresh.categories["A"] = 1
+    assert CategoryCounts().categories == {}
+
+
+RECORDS = [obj for obj, _, _, _ in EXAMPLES] + [REPORT, counts()]
+RECORD_IDS = IDS + ["ScoreReport", "CategoryCounts"]
+
+
+@pytest.mark.parametrize("obj", RECORDS, ids=RECORD_IDS)
+@pytest.mark.parametrize("protocol", [0, pickle.HIGHEST_PROTOCOL], ids=["p0", "highest"])
+def test_pickle_round_trip(obj, protocol):
+    back = pickle.loads(pickle.dumps(obj, protocol))
+    assert type(back) is type(obj)
+    assert back == obj and repr(back) == repr(obj)
+
+
+@pytest.mark.parametrize("obj", RECORDS, ids=RECORD_IDS)
+def test_copy_and_deepcopy(obj):
+    shallow, deep = copy.copy(obj), copy.deepcopy(obj)
+    assert type(shallow) is type(deep) is type(obj)
+    assert shallow == obj and deep == obj
+    assert repr(shallow) == repr(deep) == repr(obj)
+
+
+def test_category_counts_copies_share_only_when_shallow():
+    c = counts()
+    assert copy.copy(c).categories is c.categories
+    assert copy.deepcopy(c).categories is not c.categories
 
 
 def test_lex_tokens_and_byte_offsets():

@@ -169,8 +169,10 @@ _CANONICAL_SETS: dict[tuple[str, ...], CategorySet] = {}
 
 def canonical_set(labels: Iterable[str]) -> CategorySet:
     """The process's shared `CategorySet` of `labels`.  Raises
-    `InvalidCategory` as the constructor does; a failing list is never
-    stored, so it fails the same way every time."""
+    `InvalidCategory` as the constructor does, for a bare string too; a
+    failing list is never stored, so it fails the same way every time."""
+    if isinstance(labels, str):
+        raise InvalidCategory(f"canonical_set takes labels, not the string {labels!r}")
     key = tuple(labels)
     try:
         return _CANONICAL_SETS[key]

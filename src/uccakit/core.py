@@ -603,21 +603,26 @@ def isomorphic(a: Passage, b: Passage) -> bool:
 
     Token streams must match exactly.  Units are compared by kind, owned
     token positions, child edges (categories and structure) and remote
-    edges (categories and target extent).
+    edges (categories and target extent).  Unequal token or unit counts
+    reject in O(1); otherwise the walk over `b` stops at its first shape
+    that `a` lacks, so only pairs that match shape for shape cost two walks.
     """
+    if len(a.tokens) != len(b.tokens) or len(a.units) != len(b.units):
+        return False
     if [(t.text, t.is_punct) for t in a.tokens] != [(t.text, t.is_punct) for t in b.tokens]:
         return False
     classes: dict[tuple, int] = {}
-    return _shape_class(a, classes) == _shape_class(b, classes)
+    return _shape_class(a, classes) == _shape_class(b, classes, grow=False)
 
 
-def _shape_class(passage: Passage, classes: dict[tuple, int]) -> int:
+def _shape_class(passage: Passage, classes: dict[tuple, int], grow: bool = True) -> int | None:
     """The class number of the root's shape.
 
     Units are visited bottom-up, in reverse of their pre-order ids, and a
     unit's shape names each child by the child's class number, so equal
     numbers mean equal subtrees at any depth.  `classes` numbers the
-    distinct shapes and is shared by the passages being compared.
+    distinct shapes and is shared by the passages being compared; unless
+    `grow`, it is only read, and the first shape it lacks gives None.
     """
     number: dict[str, int] = {}
     for unit in reversed(passage.units.values()):
@@ -631,5 +636,8 @@ def _shape_class(passage: Passage, classes: dict[tuple, int]) -> int:
                 children.append((child_min, e.categories.labels, number[e.child]))
         shape = (unit.kind, tuple(sorted(unit.tokens)), tuple(sorted(children)),
                  tuple(sorted(remotes)))
-        number[unit.id] = classes.setdefault(shape, len(classes))
+        cls = classes.setdefault(shape, len(classes)) if grow else classes.get(shape)
+        if cls is None:
+            return None
+        number[unit.id] = cls
     return number[passage.root]

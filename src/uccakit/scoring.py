@@ -14,6 +14,7 @@ implicit descendants).
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 
 from .core import Passage, UccaError, value_type
 
@@ -144,29 +145,35 @@ def score(gold: Passage, predicted: Passage) -> ScoreReport:
         )
 
     gold_keys, pred_keys = _edge_keys(gold), _edge_keys(predicted)
-    gold_spans = Counter([(tokens, (), remote) for tokens, _, remote in gold_keys])
-    pred_spans = Counter([(tokens, (), remote) for tokens, _, remote in pred_keys])
-    # [matched, gold, predicted] per (labels, remote); unlabeled keys carry no labels.
-    tally: dict[tuple[tuple[str, ...], bool], list[int]] = {}
-    for g_count, p_count in ((Counter(gold_keys), Counter(pred_keys)), (gold_spans, pred_spans)):
-        for key in g_count.keys() | p_count.keys():
-            g, p = g_count.get(key, 0), p_count.get(key, 0)
-            counts = tally.setdefault(key[1:], [0, 0, 0])
-            counts[0] += min(g, p)
-            counts[1] += g
-            counts[2] += p
-    classes = {(lab, rem): [0, 0, 0] for lab in (True, False) for rem in (False, True)}
+    # [matched, gold, predicted] per (labels, remote), from each side's counts.
+    gold_totals = Counter(map(itemgetter(1, 2), gold_keys))
+    pred_totals = Counter(map(itemgetter(1, 2), pred_keys))
+    tally = {key: [0, gold_totals[key], pred_totals[key]]
+             for key in gold_totals.keys() | pred_totals.keys()}
+    pred_count = Counter(pred_keys)
+    for key, g in Counter(gold_keys).items():
+        p = pred_count.get(key)
+        if p:
+            tally[key[1:]][0] += g if g < p else p
+    # Unlabeled edges match on (span, remote); their totals are the labeled ones.
+    span_matched = [0, 0]
+    pred_spans = Counter(map(itemgetter(0, 2), pred_keys))
+    for key, g in Counter(map(itemgetter(0, 2), gold_keys)).items():
+        p = pred_spans.get(key)
+        if p:
+            span_matched[key[1]] += g if g < p else p
+    classes = [[0, 0, 0], [0, 0, 0]]  # labeled, indexed by the remote flag
     per_label: dict[str, list[int]] = {}
-    for (labels, remote), counts in tally.items():
-        per = [per_label.setdefault(label, [0, 0, 0]) for label in labels]
-        for total in (classes[bool(labels), remote], *per):
-            for i, n in enumerate(counts):
-                total[i] += n
+    for (labels, remote), (m, g, p) in tally.items():
+        for total in (classes[remote], *[per_label.setdefault(l, [0, 0, 0]) for l in labels]):
+            total[0] += m
+            total[1] += g
+            total[2] += p
 
     return ScoreReport(
-        labeled_primary=ClassScores(*classes[True, False]),
-        labeled_remote=ClassScores(*classes[True, True]),
-        unlabeled_primary=ClassScores(*classes[False, False]),
-        unlabeled_remote=ClassScores(*classes[False, True]),
+        labeled_primary=ClassScores(*classes[False]),
+        labeled_remote=ClassScores(*classes[True]),
+        unlabeled_primary=ClassScores(span_matched[False], *classes[False][1:]),
+        unlabeled_remote=ClassScores(span_matched[True], *classes[True][1:]),
         per_category={label: ClassScores(*per_label[label]) for label in sorted(per_label)},
     )

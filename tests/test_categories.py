@@ -83,3 +83,14 @@ def test_parser_stores_canonical_sets_only():
     assert found[0] is found[1] is table[("S", "A")] and ("A", "S") not in table
     assert found[2] is table[("S", "A", "UNA")]
     assert all(cats.labels == key for key, cats in table.items())
+
+
+@pytest.mark.parametrize("text", ["PA", "SA", "A", ""])
+def test_canonical_set_refuses_a_bare_string(text):
+    # Read one character at a time, "PA" would be the shared P+A.
+    from uccakit import categories
+
+    categories.canonical_set(["P", "A"])
+    with pytest.raises(InvalidCategory, match="not the string"):
+        categories.canonical_set(text)
+    assert text not in categories._CANONICAL_SETS

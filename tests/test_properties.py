@@ -234,14 +234,52 @@ def test_isomorphic_matches_recursive_reference(p, other, rng):
     edges = [EdgeSpec(e.parent, e.child, e.categories, e.remote) for e in p.edges()]
     rng.shuffle(units)
     rng.shuffle(edges)
-    shuffled = build_passage(p.tokens, units, edges)
-    candidates = [other, shuffled]
+
+    def rebuilt(tokens_of={}, replaced={}):
+        """`p` shuffled, with some terminals' tokens and some edges replaced."""
+        return build_passage(
+            p.tokens,
+            [UnitSpec(u.id, u.kind, tokens_of.get(u.id, u.tokens)) for u in units],
+            [replaced.get(k, e) for k, e in enumerate(edges)],
+        )
+
+    candidates = [other, rebuilt()]
     if edges:
         k = rng.randrange(len(edges))
         e = edges[k]
         label = rng.choice([l for l in PLAIN_LABELS if (l,) != e.categories.labels])
-        edges[k] = EdgeSpec(e.parent, e.child, label, e.remote)
-        candidates.append(build_passage(p.tokens, units, edges))
+        candidates.append(rebuilt(replaced={k: EdgeSpec(e.parent, e.child, label, e.remote)}))
+    # The candidates below keep every unit and edge count and change one shape.
+    primary = [(k, e) for k, e in enumerate(edges) if not e.remote]
+    siblings = [(i, a, j, b) for i, a in primary for j, b in primary
+                if i != j and a.parent == b.parent]
+    terminals = {u.id: u.tokens for u in units if u.kind == "terminal"}
+    moves = [(a.child, b.child) for _, a, _, b in siblings
+             if a.child in terminals and b.child in terminals and len(terminals[a.child]) > 1]
+    if moves:
+        src, dst = rng.choice(moves)
+        token = rng.choice(terminals[src])
+        candidates.append(rebuilt(tokens_of={
+            src: tuple(t for t in terminals[src] if t != token),
+            dst: tuple(sorted(terminals[dst] + (token,))),
+        }))
+    swaps = [(i, a, j, b) for i, a, j, b in siblings if a.categories != b.categories]
+    if swaps:
+        i, a, j, b = rng.choice(swaps)
+        candidates.append(rebuilt(replaced={
+            i: EdgeSpec(a.parent, a.child, b.categories),
+            j: EdgeSpec(b.parent, b.child, a.categories),
+        }))
+    remotes = [(k, e) for k, e in enumerate(edges) if e.remote]
+    if remotes:
+        k, e = rng.choice(remotes)
+        targets = [u.id for u in units if u.kind != IMPLICIT and u.id != e.child]
+        rng.shuffle(targets)
+        for target in targets:  # the first that still builds
+            with contextlib.suppress(UccaError):
+                retargeted = EdgeSpec(e.parent, target, e.categories, True)
+                candidates.append(rebuilt(replaced={k: retargeted}))
+                break
     for q in candidates:
         assert isomorphic(p, q) == reference_isomorphic(p, q)
         assert isomorphic(q, p) == reference_isomorphic(q, p)

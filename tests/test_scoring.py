@@ -1,12 +1,16 @@
+import json
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uccakit import (
+    ClassScores,
     EdgeSpec,
     EdgeSignature,
+    ScoreReport,
     Token,
     TokenMismatch,
     UnitSpec,
@@ -179,7 +183,9 @@ def assert_counts_equal_optimal_matching(gold, pred):
     ids=PAIR_IDS + [p[0] for p in IMPLICIT_UNA_REMOTE],
 )
 def test_greedy_counts_equal_optimal_matching(name, gold_src, pred_src):
-    assert_counts_equal_optimal_matching(parse_passage(gold_src), parse_passage(pred_src))
+    gold, pred = parse_passage(gold_src), parse_passage(pred_src)
+    assert_counts_equal_optimal_matching(gold, pred)
+    assert_score_matches_reference(gold, pred)
 
 
 @st.composite
@@ -204,6 +210,52 @@ def scored_pairs(draw):
 @given(scored_pairs())
 def test_generated_counts_equal_optimal_matching(pair):
     assert_counts_equal_optimal_matching(*pair)
+
+
+def reference_score(gold, predicted):
+    """The counting `score` did before it counted each side once: every
+    labeled and unlabeled key of both sides in one tally over the union of
+    their keys.  Kept as the oracle for the scorer; tokens must match."""
+    gold_keys = [(s.tokens, s.categories, s.remote) for s in signatures(gold)]
+    pred_keys = [(s.tokens, s.categories, s.remote) for s in signatures(predicted)]
+    gold_spans = Counter([(tokens, (), remote) for tokens, _, remote in gold_keys])
+    pred_spans = Counter([(tokens, (), remote) for tokens, _, remote in pred_keys])
+    # [matched, gold, predicted] per (labels, remote); unlabeled keys carry no labels.
+    tally = {}
+    for g_count, p_count in ((Counter(gold_keys), Counter(pred_keys)), (gold_spans, pred_spans)):
+        for key in g_count.keys() | p_count.keys():
+            g, p = g_count.get(key, 0), p_count.get(key, 0)
+            counts = tally.setdefault(key[1:], [0, 0, 0])
+            counts[0] += min(g, p)
+            counts[1] += g
+            counts[2] += p
+    classes = {(lab, rem): [0, 0, 0] for lab in (True, False) for rem in (False, True)}
+    per_label = {}
+    for (labels, remote), counts in tally.items():
+        per = [per_label.setdefault(label, [0, 0, 0]) for label in labels]
+        for total in (classes[bool(labels), remote], *per):
+            for i, n in enumerate(counts):
+                total[i] += n
+    return ScoreReport(
+        labeled_primary=ClassScores(*classes[True, False]),
+        labeled_remote=ClassScores(*classes[True, True]),
+        unlabeled_primary=ClassScores(*classes[False, False]),
+        unlabeled_remote=ClassScores(*classes[False, True]),
+        per_category={label: ClassScores(*per_label[label]) for label in sorted(per_label)},
+    )
+
+
+def assert_score_matches_reference(gold, pred):
+    for a, b in ((gold, pred), (pred, gold), (gold, gold), (pred, pred)):
+        got, expected = score(a, b), reference_score(a, b)
+        assert got == expected
+        assert json.dumps(got.to_dict()) == json.dumps(expected.to_dict())
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_pairs())
+def test_generated_reports_equal_reference(pair):
+    assert_score_matches_reference(*pair)
 
 
 @pytest.mark.parametrize("name,gold_src,pred_src", PAIRS, ids=PAIR_IDS)

@@ -17,6 +17,7 @@ diagnostics.
 from __future__ import annotations
 
 import gc
+from bisect import bisect_left
 from collections import Counter
 from functools import wraps
 from types import MappingProxyType
@@ -207,6 +208,21 @@ def id_key(unit_id: str):
     return (len(unit_id), unit_id)
 
 
+# The writer's ids "0", "1", ... as one list for every build to read, as
+# long as the longest passage built so far or longer.  A longer passage
+# rebinds it to a longer list, so it is never changed in place.
+_NUMERALS: list[str] = []
+
+
+def _numerals(n: int) -> list[str]:
+    """The ids "0"..."n-1"."""
+    global _NUMERALS
+    numerals = _NUMERALS
+    if len(numerals) < n:
+        _NUMERALS = numerals = list(map(str, range(max(n, 2 * len(numerals)))))
+    return numerals[:n]
+
+
 def _gc_paused(func):
     """Run `func` with the cyclic garbage collector paused: builds make no cycles."""
     @wraps(func)
@@ -274,6 +290,12 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
     root does not reach; 10. a cycle through remote edges; 11. a token
     claimed twice, then, with require_coverage, one claimed by no unit that
     is not punctuation.
+
+    Tables in pre-order, as the writer leaves them, cost one pass over the
+    edges and one over the units, which also records where each unit's
+    subtree ends and lays the units out as `_assemble` takes them.  Step 10
+    then reads only the remote edges (`_remote_cycle`), and `_check_dag`
+    runs only to name a unit on a cycle found.
     """
     if not all([tok.text for tok in tokens]):
         raise InvalidToken(f"token {[tok.text for tok in tokens].index('')} has empty text")
@@ -288,7 +310,6 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
             if kind not in _KINDS:
                 raise InvalidUnit(f"unit {uid!r} has unknown kind {kind!r}")
             seen.add(uid)
-    preorder_ids = list(map(str, range(n)))
 
     # One pass over the edges makes steps 3 to 5; the faults of steps 4 and
     # 5 wait until every edge has passed step 3.
@@ -323,7 +344,8 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
         unsorted |= key < last
         last = key
         outgoing[p].append(Edge(parent, child, categories, remote))
-    if writer_order and (unsorted or ids != preorder_ids):
+    numbered = ids == _numerals(n)
+    if writer_order and (unsorted or not numbered):
         return None
     if bad_remote:
         raise InvalidRemote(bad_remote)
@@ -342,13 +364,17 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
     root = parent_of.index(None)
 
     # With edges in (parent, child) order, the units are in pre-order when
-    # each unit's primary parent is on the path from the root to the one before.
+    # each unit's primary parent is on the path from the root to the one
+    # before; the units that leave the path end their subtrees there.
     in_preorder = root == 0 and not unsorted
     path: list[int] = []
+    end = [n - 1] * n
     claimed = bytearray(len(tokens))
     twice = False
+    rows = []  # for `_assemble`, if the units keep their ids and order
     for i, (uid, kind, positions) in enumerate(units):
         out = outgoing[i]
+        rows.append((uid, kind, positions, out))
         if kind == TERMINAL:
             if out:
                 raise InvalidUnit(f"terminal unit {uid!r} has outgoing edges")
@@ -375,7 +401,7 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
             raise InvalidUnit(f"root unit {uid!r} must be internal, not {kind}")
         if in_preorder:
             while path and path[-1] != parent_of[i]:
-                path.pop()
+                end[path.pop()] = i - 1
             in_preorder = not (i and not path)
             path.append(i)
 
@@ -388,7 +414,7 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
     # Every non-root unit has exactly one primary parent, so a pre-order
     # walk reaches each unit at most once, and a unit it never reaches sits
     # on a cycle.
-    order = range(n)
+    order = rank = range(n)
     if not in_preorder:
         order = []
         stack = [root]
@@ -399,9 +425,17 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
         if len(order) != n:
             missing = sorted(set(ids) - {ids[i] for i in order})
             raise PrimaryCycle(f"units {missing!r} are not reachable from the root")
+        if remotes:
+            rank = [0] * n
+            for k, i in enumerate(order):
+                rank[i] = k
+            end = rank[:]
+            for i in reversed(order[1:]):  # each unit before its parent
+                end[parent_of[i]] = max(end[parent_of[i]], end[i])
 
-    # Without remote edges the walk has already shown the graph is a tree.
-    if remotes:
+    # Without remote edges the walk has already shown the graph is a tree;
+    # the search names a unit on the cycle the ranges found.
+    if remotes and _remote_cycle(remotes, rank, end):
         _check_dag(ids, dict(zip(ids, outgoing)))
 
     if twice:
@@ -415,13 +449,55 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
             if not t.is_punct and not claimed[i]:
                 raise TokenCoverageGap(f"token {t.text!r} (position {i}) belongs to no unit")
 
-    if (ids if in_preorder else [ids[i] for i in order]) != preorder_ids:
-        rename = dict(zip([ids[i] for i in order], preorder_ids))
+    if not (numbered and in_preorder):
+        rename = dict(zip([ids[i] for i in order], _numerals(n)))
         units = [(rename[uid], kind, positions) for uid, kind, positions in units]
         outgoing = [[Edge(rename[e.parent], rename[e.child], e.categories, e.remote) for e in out]
                     for out in outgoing]
-    units = [(*units[i], outgoing[i]) for i in order]
-    return _assemble(passage_id, tokens, units, _extents(units))
+        rows = [(*units[i], outgoing[i]) for i in order]
+    return _assemble(passage_id, tokens, rows, _extents(rows))
+
+
+def _remote_cycle(remotes, rank, end) -> bool:
+    """Whether the remote edges, (owner, target) pairs of unit indices,
+    close a cycle with the primary tree, in which unit i's subtree holds
+    the units of pre-order ranks rank[i] to end[i].
+
+    Primary edges only lead down, so a cycle leaves each owner on it by a
+    remote edge, goes down from the target to the next owner, and so on
+    back to the first: the owners close a cycle in the graph "a -> b
+    whenever b lies in the range of one of a's targets", a included.  A
+    depth-first search of that graph finds one in time near-linear in the
+    remote edges: each range yields its first owner not yet shown to lie
+    on no cycle, and a range left with none is dropped.
+    """
+    ranges: dict[int, list[tuple[int, int]]] = {}
+    for p, c in remotes:
+        ranges.setdefault(rank[p], []).append((rank[c], end[c]))
+    alive = sorted(ranges)  # owners, by rank, not yet shown to lie on no cycle
+    while alive:
+        path = [alive[0]]
+        on_path = {alive[0]}
+        while path:
+            todo = ranges[path[-1]]
+            while todo:
+                lo, hi = todo[-1]
+                j = bisect_left(alive, lo)
+                if j < len(alive) and alive[j] <= hi:
+                    break
+                todo.pop()
+            else:
+                done = path.pop()
+                on_path.discard(done)
+                del alive[bisect_left(alive, done)]
+                continue
+            b = alive[j]
+            if b in on_path:
+                return True
+            path.append(b)
+            on_path.add(b)
+    return False
+
 
 def _extents(units) -> dict[str, frozenset[int]]:
     """Each unit's primary extent, for the units `_assemble` takes.  Only
@@ -459,6 +535,10 @@ def _assemble(passage_id, tokens, units, extents) -> Passage:
 
 
 def _check_dag(ids, outgoing) -> None:
+    """Raise `RemoteCycle` naming the first unit that a depth-first search,
+    from each of `ids` in turn along `outgoing` (id -> edges), finds on a
+    cycle.  It visits every unit, so `_build` calls it only after
+    `_remote_cycle` has found a cycle, to give the message its unit."""
     # Primary edges are a tree by now, so any cycle goes through a remote.
     WHITE, GRAY, BLACK = 0, 1, 2
     color = dict.fromkeys(ids, WHITE)

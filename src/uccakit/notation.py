@@ -36,14 +36,13 @@ from .core import (
     IMPLICIT,
     INTERNAL,
     Passage,
-    RemoteCycle,
     TERMINAL,
     Token,
     UccaError,
     _assemble,
-    _check_dag,
     _extents,
     _gc_paused,
+    _remote_cycle,
     build_passage,  # unused here; bench/tracing.py patches this name
     value_type,
 )
@@ -497,8 +496,9 @@ def parse_passage(
 
     Units are numbered in dense pre-order, children in source order before
     implicit units, and assembled directly: the parse ensures all that
-    `build_passage` checks but acyclicity, which is checked here.  Like
-    `build_passage`, the call pauses the cyclic garbage collector.
+    `build_passage` checks but acyclicity, which is checked here by the
+    same test over the remote edges and the pre-order subtree ranges.
+    Like `build_passage`, the call pauses the cyclic garbage collector.
     """
     root = _parse_tree(source)
     parent = _resolve(root)
@@ -541,6 +541,13 @@ def parse_passage(
     extents = _extents(units)
     if not remote_requests:
         return _assemble(passage_id, tuple(stream), units, extents)
+    # Each unit's subtree ends where its last child's does; so far the
+    # outgoing lists hold primary edges only.
+    rank = range(len(units))
+    end = list(rank)
+    for i in reversed(rank):
+        if units[i][3]:
+            end[i] = end[int(units[i][3][-1].child)]
 
     remote_requests.sort(key=lambda request: request[1].start)
     readers = _reader_index(stream, extents, {len(paren.words) for _, paren in remote_requests})
@@ -583,20 +590,13 @@ def parse_passage(
         owner.outgoing.append(edge)
         remotes[owner.uid, target] = edge, paren
 
-    ids = [unit[0] for unit in units]
-    try:
-        _check_dag(ids, {uid: outgoing for uid, _, _, outgoing in units})
+    pairs = [(int(owner), int(target)) for owner, target in remotes]
+    if not _remote_cycle(pairs, rank, end):
         return _assemble(passage_id, tuple(stream), units, extents)
-    except RemoteCycle:
-        pass
     # Blame the first group, in source order, whose edge closes a cycle with
     # the primary edges and the groups before it.
-    outgoing = {uid: [e for e in out if not e.remote] for uid, _, _, out in units}
-    for edge, paren in remotes.values():
-        outgoing[edge.parent].append(edge)
-        try:
-            _check_dag(ids, outgoing)
-        except RemoteCycle:
+    for k, (_, paren) in enumerate(remotes.values(), 1):
+        if _remote_cycle(pairs[:k], rank, end):
             break
     raise ParseError(
         f"the remote group reading {' '.join(paren.words)!r} closes a cycle of edges",

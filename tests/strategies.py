@@ -5,7 +5,8 @@ children, so primary edges always form a tree and every build succeeds.
 Token texts within a passage are distinct, which keeps remote-target
 references unambiguous when a passage is rendered back to text.
 
-`mutated_documents` edits the interchange documents of such passages.
+`mutated_documents` edits the interchange documents of such passages, and
+`mutated_tables` gives the edited tables to `build_passage` directly.
 `bracket_sources` draws text instead: token soup, or nested groups with
 dashed, indexed, `UNA` and `IMP` pieces and round-bracket groups, over a
 few words that also spell labels and markers, so that much of it parses.
@@ -17,7 +18,15 @@ import re
 
 from hypothesis import strategies as st
 
-from uccakit import EdgeSpec, Token, UnitSpec, build_passage, canonical_json_bytes, to_interchange
+from uccakit import (
+    CategorySet,
+    EdgeSpec,
+    Token,
+    UnitSpec,
+    build_passage,
+    canonical_json_bytes,
+    to_interchange,
+)
 
 WORD_POOL = [
     "alder", "birch", "cedar", "dogwood", "elm", "fir", "ginkgo", "hazel",
@@ -87,7 +96,16 @@ def passages(draw, max_tokens=9, allow_remotes=True, tokens=None):
         ))
         for chunk in _chunk(shuffled, k, cuts):
             child = grow(chunk, depth + 1)
-            edges.append(EdgeSpec(uid, child, draw(labels)))
+            label = draw(labels)
+            if draw(st.integers(0, 4)) == 0:
+                # A unary chain: a unit whose only child has its extent and
+                # the label of its own edge, so both edges score alike.
+                wrapper = fresh()
+                units.append(UnitSpec(wrapper, "internal"))
+                internal_ids.append(wrapper)
+                edges.append(EdgeSpec(wrapper, child, label))
+                child = wrapper
+            edges.append(EdgeSpec(uid, child, label))
         if draw(st.integers(0, 3)) == 0:
             iid = fresh()
             units.append(UnitSpec(iid, "implicit"))
@@ -109,41 +127,44 @@ def _add_remotes(draw, units, edges, internal_ids):
     primary_parent = {e.child: e.parent for e in edges if not e.remote}
     kind = {u.id: u.kind for u in units}
 
-    def reaches(start, goal):
-        # Walks primary and already-added remote edges alike; a remote
-        # parent -> target is safe exactly when target cannot reach parent.
-        pairs = [(e.parent, e.child) for e in edges]
+    def below(start):
+        # The units reachable from start along primary and already-added
+        # remote edges; a remote parent -> start is safe exactly when parent
+        # is not among them.
+        children = {}
+        for e in edges:
+            children.setdefault(e.parent, []).append(e.child)
         seen, stack = set(), [start]
         while stack:
-            cur = stack.pop()
-            if cur == goal:
-                return True
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(c for p, c in pairs if p == cur)
-        return False
+            uid = stack.pop()
+            if uid not in seen:
+                seen.add(uid)
+                stack.extend(children.get(uid, ()))
+        return seen
 
-    added = set()
+    added = {}  # (parent, target) -> (target, label)
     for _ in range(draw(st.integers(1, 2))):
-        parents = sorted(internal_ids)
-        targets = sorted(uid for uid in primary_parent if kind[uid] != "implicit")
-        if not parents or not targets:
-            return
-        parent = draw(st.sampled_from(parents))
-        target = draw(st.sampled_from(targets))
-        if (
-            target == parent
-            or primary_parent.get(target) == parent
-            or (parent, target) in added
-            or reaches(target, parent)
-        ):
+        if added and draw(st.booleans()):
+            # The target and label of a remote edge already added: a second
+            # edge with the same scoring signature.
+            target, label = draw(st.sampled_from(sorted(added.values())))
+        else:
+            target = draw(st.sampled_from(
+                sorted(uid for uid in primary_parent if kind[uid] != "implicit")
+            ))
+            label = draw(st.sampled_from(["A", "P", "S", "C", "E"]))
+        reach = below(target)
+        parents = [
+            uid for uid in sorted(internal_ids)
+            if uid not in reach and uid != primary_parent[target] and (uid, target) not in added
+        ]
+        if not parents:
             continue
-        label = draw(st.sampled_from(["A", "P", "S", "C", "E"]))
+        parent = draw(st.sampled_from(parents))
         # Anywhere among the specs, so also before or between a parent's
         # primary specs; their order alone fixes the order of children.
         edges.insert(draw(st.integers(0, len(edges))), EdgeSpec(parent, target, label, True))
-        added.add((parent, target))
+        added[parent, target] = target, label
 
 
 # Words that repeat, so that remote groups resolve and become ambiguous;
@@ -261,7 +282,7 @@ def _mutate(draw, doc):
     edit = draw(st.sampled_from([
         "rename", "swap", "shuffle units", "shuffle edges", "reverse edges", "drop edge",
         "add edge", "repeat edge", "flip remote", "set kind", "flip punct", "add position",
-        "empty text", "remote cycle", "no units",
+        "empty text", "remote cycle", "remote pair cycle", "no units",
     ]))
     if edit == "rename" and ids:
         _rename(doc, draw(st.sampled_from(ids)), draw(st.sampled_from(["x", "07", "99", "1 "])))
@@ -309,6 +330,24 @@ def _mutate(draw, doc):
         if pairs:
             child, back = draw(st.sampled_from(pairs))
             edges.append({"categories": ["A"], "child": back, "parent": child, "remote": True})
+    elif edit == "remote pair cycle":
+        # A remote edge from an existing remote edge's target, or from an
+        # internal unit under it, back to that edge's owner: a cycle that
+        # only the two remote edges close.
+        children = {}
+        for e in edges:
+            if not e["remote"]:
+                children.setdefault(e["parent"], []).append(e["child"])
+        internal = {u["id"] for u in units if u["kind"] == "internal"}
+        pairs = []
+        for e in edges:
+            below = [e["child"]] if e["remote"] else []
+            for uid in below:  # earlier edits may have closed a primary cycle
+                below += [c for c in children.get(uid, ()) if c not in below]
+            pairs += [(uid, e["parent"]) for uid in below if uid in internal]
+        if pairs:
+            start, owner = draw(st.sampled_from(sorted(pairs)))
+            edges.append({"categories": ["A"], "child": owner, "parent": start, "remote": True})
     elif edit == "no units":
         doc["units"] = []
 
@@ -320,3 +359,21 @@ def mutated_documents(draw):
     for _ in range(draw(st.integers(1, 3))):
         _mutate(draw, doc)
     return canonical_json_bytes(doc)
+
+
+@st.composite
+def mutated_tables(draw):
+    """`build_passage`'s tokens, units and edges for a generated passage
+    after up to three edits, in the edited document's order; categories
+    come as labels, as notation or as a `CategorySet`."""
+    doc = json.loads(to_interchange(draw(passages(max_tokens=6))))
+    for _ in range(draw(st.integers(0, 3))):
+        _mutate(draw, doc)
+    tokens = [Token(t["text"], i, t["is_punct"]) for i, t in enumerate(doc["tokens"])]
+    units = [UnitSpec(u["id"], u["kind"], tuple(u["tokens"])) for u in doc["units"]]
+    spell = st.sampled_from([list, "+".join, CategorySet])
+    edges = [
+        EdgeSpec(e["parent"], e["child"], draw(spell)(e["categories"]), e["remote"])
+        for e in doc["edges"]
+    ]
+    return tokens, units, edges

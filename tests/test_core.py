@@ -1,5 +1,6 @@
 import pytest
 
+import uccakit.core
 from uccakit import (
     DanglingEdge,
     DuplicateId,
@@ -22,6 +23,7 @@ from uccakit import (
     is_scene_unit,
     isomorphic,
     parse_passage,
+    render,
     stats,
     to_interchange,
     yield_of,
@@ -170,8 +172,83 @@ def test_remote_cycle_rejected():
         EdgeSpec("x", "y", "A", True),
         EdgeSpec("y", "x", "A", True),
     ]
-    with pytest.raises(RemoteCycle):
-        build_passage(tokens, units, edges)
+    assert_remote_cycle(tokens, units, edges, "remote edges create a cycle through unit 'x'")
+
+
+def assert_remote_cycle(tokens, units, edges, message):
+    """The tables fail with `message`, as spec tables and as a document."""
+    for build in (
+        lambda: build_passage(tokens, units, edges),
+        lambda: from_interchange(as_document(tokens, units, edges)),
+    ):
+        with pytest.raises(RemoteCycle) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+# Two scenes over "a b c d": root r; scene a over s (over t1) and v (over
+# t2); scene b over u (over t3) and t4.  s, v and u can own remote edges.
+_TWO_SCENES = [
+    UnitSpec("r", "internal"), UnitSpec("a", "internal"), UnitSpec("s", "internal"),
+    UnitSpec("t1", "terminal", (0,)), UnitSpec("v", "internal"),
+    UnitSpec("t2", "terminal", (1,)), UnitSpec("b", "internal"), UnitSpec("u", "internal"),
+    UnitSpec("t3", "terminal", (2,)), UnitSpec("t4", "terminal", (3,)),
+]
+_TWO_SCENE_EDGES = [
+    EdgeSpec("r", "a", "H"), EdgeSpec("a", "s", "A"), EdgeSpec("s", "t1", "C"),
+    EdgeSpec("a", "v", "P"), EdgeSpec("v", "t2", "C"), EdgeSpec("r", "b", "H"),
+    EdgeSpec("b", "u", "A"), EdgeSpec("u", "t3", "C"), EdgeSpec("b", "t4", "P"),
+]
+
+
+def remotes(*pairs):
+    return [EdgeSpec(owner, target, "A", True) for owner, target in pairs]
+
+
+@pytest.mark.parametrize(
+    "tokens, units, edges, message",
+    [
+        # s -> b remotely, down b -> u, u -> a remotely, down a -> s: neither
+        # remote edge leads to an ancestor of its own owner.
+        (toks("a b c d"), _TWO_SCENES, _TWO_SCENE_EDGES + remotes(("s", "b"), ("u", "a")),
+         "remote edges create a cycle through unit 'a'"),
+        # x, with no primary child, is the last unit under its own target.
+        (toks("a"), [UnitSpec("r", "internal"), UnitSpec("a", "internal"),
+                     UnitSpec("t", "terminal", (0,)), UnitSpec("x", "internal")],
+         [EdgeSpec("r", "a", "H"), EdgeSpec("a", "t", "P"), EdgeSpec("a", "x", "A")]
+         + remotes(("x", "a")),
+         "remote edges create a cycle through unit 'a'"),
+    ],
+    ids=["two-remote-edges", "owner-ends-its-targets-subtree"],
+)
+def test_remote_cycle_through_primary_edges(tokens, units, edges, message):
+    assert_remote_cycle(tokens, units, edges, message)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [(("s", "b"), ("u", "t1")), (("s", "b"), ("u", "t2")), (("v", "b"), ("u", "s"))],
+    ids=["into-a-targets-child", "into-a-targets-sibling", "up-to-just-before-an-owner"],
+)
+def test_remote_chain_without_cycle_builds(monkeypatch, pairs):
+    # A chain of two remote edges, each from one scene into the other, that
+    # closes no cycle: the second ends below or beside the first's owner,
+    # or (u -> s) just before v, which owns the first.  The depth-first
+    # search that names a cycle's unit never runs.
+    def no_search(*args):
+        raise AssertionError("the cycle search ran on an acyclic passage")
+
+    monkeypatch.setattr(uccakit.core, "_check_dag", no_search)
+    tokens, edges = toks("a b c d"), _TWO_SCENE_EDGES + remotes(*pairs)
+    document = as_document(tokens, _TWO_SCENES, edges)
+    for p in (
+        build_passage(tokens, _TWO_SCENES, edges),
+        from_interchange(document),
+        from_interchange(to_interchange(from_interchange(document))),
+        parse_passage(render(from_interchange(document))),
+    ):
+        assert p.root == "0"
+        assert sum(e.remote for e in p.edges()) == 2
 
 
 def test_remote_needs_primary_parent_elsewhere():

@@ -37,12 +37,14 @@ from uccakit.core import id_key
 from uccakit.notation import LABEL, WORD, ParseError
 from uccakit.validation import list_rules
 
+import reference_build
 from conftest import CORPUS, corpus_ids
 from strategies import (
     COMBO_LABELS,
     PLAIN_LABELS,
     bracket_sources,
     mutated_documents,
+    mutated_tables,
     passages,
     unicode_bracket_sources,
 )
@@ -319,7 +321,7 @@ def test_text_renders_back_isomorphic_or_raises(source, side):
 
 
 def reference_load(data):
-    """`build_passage` on a document's tables in document order, edges
+    """The reference checker on a document's tables in document order, edges
     sorted by id: the oracle for `from_interchange`, which checks documents
     in the writer's pre-order in a pass of its own."""
     doc = json.loads(data)
@@ -327,7 +329,14 @@ def reference_load(data):
     units = [UnitSpec(u["id"], u["kind"], tuple(u["tokens"])) for u in doc["units"]]
     edges = [EdgeSpec(e["parent"], e["child"], e["categories"], e["remote"]) for e in doc["edges"]]
     edges.sort(key=lambda e: (id_key(e.parent), id_key(e.child)))
-    return build_passage(tokens, units, edges, passage_id=doc["id"], require_coverage=False)
+    return reference_build_passage(tokens, units, edges, doc["id"], require_coverage=False)
+
+
+def reference_build_passage(tokens, units, edges, passage_id="passage", require_coverage=True):
+    """`build_passage` on tokens at their positions, over the reference checker."""
+    units = [(u.id, u.kind, u.tokens) for u in units]
+    edges = [(e.parent, e.child, e.categories, e.remote) for e in edges]
+    return reference_build._build(passage_id, tuple(tokens), units, edges, require_coverage)
 
 
 def load_outcome(load, data):
@@ -347,6 +356,17 @@ def load_outcome(load, data):
 @given(mutated_documents())
 def test_interchange_loads_as_build_passage_does(data):
     assert load_outcome(from_interchange, data) == load_outcome(reference_load, data)
+
+
+@settings(max_examples=400)
+@given(mutated_tables(), st.booleans())
+def test_build_passage_matches_reference_checker(tables, require_coverage):
+    # Tables in any unit and edge order, edited, with any ids: the checker
+    # gives the reference's passage, or its first fault with its message.
+    def outcome(build):
+        return load_outcome(lambda _: build(*tables, require_coverage=require_coverage), None)
+
+    assert outcome(build_passage) == outcome(reference_build_passage)
 
 
 def table_outcome(p):

@@ -224,7 +224,9 @@ def _numerals(n: int) -> list[str]:
 
 
 def _gc_paused(func):
-    """Run `func` with the cyclic garbage collector paused: builds make no cycles."""
+    """Run `func` with the cyclic garbage collector paused.  Only for calls
+    that make no reference cycle on any exit, so that reference counting
+    frees all they allocate and no collection rescans the passage."""
     @wraps(func)
     def paused(*args, **kwargs):
         if not gc.isenabled():
@@ -653,6 +655,7 @@ class CategoryCounts:
         return out
 
 
+@_gc_paused
 def stats(passage: Passage) -> CategoryCounts:
     """Count edges per category plus scene, remote, implicit and UNA totals."""
     counts = CategoryCounts(tokens=len(passage.tokens))
@@ -678,6 +681,7 @@ def stats(passage: Passage) -> CategoryCounts:
     return counts
 
 
+@_gc_paused
 def isomorphic(a: Passage, b: Passage) -> bool:
     """Structural equality up to unit ids and child bookkeeping order.
 
@@ -700,11 +704,15 @@ def _shape_class(passage: Passage, classes: dict[tuple, int], grow: bool = True)
 
     Units are visited bottom-up, in reverse of their pre-order ids, and a
     unit's shape names each child by the child's class number, so equal
-    numbers mean equal subtrees at any depth.  `classes` numbers the
-    distinct shapes and is shared by the passages being compared; unless
-    `grow`, it is only read, and the first shape it lacks gives None.
+    numbers mean equal subtrees at any depth.  Children go in order of
+    their first positions, each unit's taken from its sorted children (an
+    empty extent's is the token count).  `classes` numbers the distinct
+    shapes and is shared by the passages being compared; unless `grow`, it
+    is only read, and the first shape it lacks gives None.
     """
+    empty = len(passage.tokens)
     number: dict[str, int] = {}
+    first: dict[str, int] = {}
     for unit in reversed(passage.units.values()):
         children = []
         remotes = []
@@ -712,12 +720,13 @@ def _shape_class(passage: Passage, classes: dict[tuple, int], grow: bool = True)
             if e.remote:
                 remotes.append((e.categories.labels, tuple(sorted(passage.extents[e.child]))))
             else:
-                child_min = min(passage.extents[e.child], default=-1)
-                children.append((child_min, e.categories.labels, number[e.child]))
-        shape = (unit.kind, tuple(sorted(unit.tokens)), tuple(sorted(children)),
-                 tuple(sorted(remotes)))
+                children.append((first[e.child], e.categories.labels, number[e.child]))
+        children.sort()
+        tokens = tuple(sorted(unit.tokens))
+        shape = (unit.kind, tokens, tuple(children), tuple(sorted(remotes)))
         cls = classes.setdefault(shape, len(classes)) if grow else classes.get(shape)
         if cls is None:
             return None
         number[unit.id] = cls
+        first[unit.id] = tokens[0] if tokens else children[0][0] if children else empty
     return number[passage.root]

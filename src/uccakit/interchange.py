@@ -92,6 +92,7 @@ def _by_child(outgoing: tuple[Edge, ...]) -> tuple[Edge, ...] | list[Edge]:
     return outgoing
 
 
+@_gc_paused
 def to_interchange(passage: Passage) -> bytes:
     """The canonical document of the passage.
 

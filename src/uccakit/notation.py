@@ -439,13 +439,13 @@ def _resolve(root: _Node) -> dict[_Node, _Node]:
     return parent
 
 
-def _reader_index(tokens, extents, widths) -> dict[tuple[str, ...], list[str]]:
-    """Each surface text, a tuple of token texts, mapped to the units
+def _reader_index(texts, extents, widths) -> dict[tuple[str, ...], list[str]]:
+    """Each surface text, a tuple of `texts` items, mapped to the units
     reading it, among the units whose extent has a width in `widths`."""
     readers: dict[tuple[str, ...], list[str]] = {}
     for uid, extent in extents.items():
         if len(extent) in widths:
-            readers.setdefault(tuple(tokens[pos].text for pos in sorted(extent)), []).append(uid)
+            readers.setdefault(tuple([texts[pos] for pos in sorted(extent)]), []).append(uid)
     return readers
 
 
@@ -550,7 +550,8 @@ def parse_passage(
             end[i] = end[int(units[i][3][-1].child)]
 
     remote_requests.sort(key=lambda request: request[1].start)
-    readers = _reader_index(stream, extents, {len(paren.words) for _, paren in remote_requests})
+    texts = [t.text for t in word_toks]
+    readers = _reader_index(texts, extents, {len(paren.words) for _, paren in remote_requests})
     parent_of = {e.child: uid for uid, _, _, outgoing in units for e in outgoing}
 
     def resolve_remote(owner: _Node, paren: _RawParen) -> str:
@@ -617,6 +618,7 @@ def split_passages(text: str) -> list[str]:
 # Rendering
 
 
+@_gc_paused
 def render(passage: Passage, label_side: str = "left") -> str:
     """Write a passage back into the bracket dialect.
 
@@ -637,6 +639,7 @@ class _Renderer:
     def __init__(self, passage: Passage, label_side: str):
         self.p = passage
         self.side = label_side
+        self.texts = [t.text for t in passage.tokens]
         self.readers: dict[int, dict[tuple[str, ...], list[str]]] = {}  # by text length
 
     def render(self) -> str:
@@ -650,9 +653,9 @@ class _Renderer:
         """
         p = self.p
         tokens = p.tokens
-        for tok in tokens:
-            if _DELIMITED.search(tok.text):
-                raise RenderError(f"token {tok.text!r} contains notation delimiters or spaces")
+        if _DELIMITED.search("".join(self.texts)):  # each delimiter is one character
+            text = next(text for text in self.texts if _DELIMITED.search(text))
+            raise RenderError(f"token {text!r} contains notation delimiters or spaces")
         frags = self._fragments()
         for uid, unit in p.units.items():
             if unit.kind == INTERNAL and not frags[uid] and uid != p.root:
@@ -661,7 +664,9 @@ class _Renderer:
         # Each bracketed unit's label and UNA mark, and the fragments that
         # open and close at each token, outer ones first.
         labels: dict[str, str] = {}
+        label_texts: dict[tuple[str, ...], str] = {}  # per label set
         una: set[str] = set()
+        parens: set[str] = set()  # units with round-bracket groups
         opens: list[list[tuple[str, int]]] = [[] for _ in tokens]
         closes: list[list[tuple[str, int]]] = [[] for _ in tokens]
         for uid, unit in p.units.items():
@@ -671,10 +676,16 @@ class _Renderer:
                     closes[last].append((uid, k))
             groups: dict[str, list[str]] = {}
             for e in unit.outgoing:
-                if e.remote or not frags[e.child]:
+                if e.remote or not frags[e.child]:  # a remote or implicit child
+                    parens.add(uid)
                     continue
-                labels[e.child] = label = self._label_text(e)
-                if UNA_MARKER in e.categories:
+                cats = e.categories.labels
+                label = label_texts.get(cats)
+                if label is None:
+                    # An edge carrying only UNA cannot be built, so this is never empty.
+                    label = label_texts[cats] = "+".join([l for l in cats if l != UNA_MARKER])
+                labels[e.child] = label
+                if UNA_MARKER in cats:
                     una.add(e.child)
                 if len(frags[e.child]) > 1:
                     groups.setdefault(label, []).append(e.child)
@@ -720,10 +731,11 @@ class _Renderer:
                     )
                 if label is not None:
                     out.append(label)
-                if k == len(frags[uid]) - 1:
+                if k == len(frags[uid]) - 1 and uid in parens:
                     out.extend(self._paren_texts(uid))
                 out[-1] += "]"
-        out.extend(self._paren_texts(p.root))
+        if p.root in parens:
+            out.extend(self._paren_texts(p.root))
         return " ".join(out)
 
     def _fragments(self) -> dict[str, list[tuple[int, int]]]:
@@ -751,14 +763,10 @@ class _Renderer:
                     merged.append((first, last))
         return frags
 
-    def _label_text(self, edge) -> str:
-        plain = [l for l in edge.categories.labels if l != UNA_MARKER]
-        # An edge carrying only UNA cannot be built, so plain is never empty.
-        return "+".join(plain)
-
     def _paren_texts(self, uid: str) -> list[str]:
         p = self.p
         out = []
+        read = set()  # a reader resolves two groups alike when they read alike
         for e in p.units[uid].outgoing:
             if e.remote:
                 text = self._text(e.child)
@@ -771,6 +779,9 @@ class _Renderer:
                         "remote target reads 'IMP', which the notation reserves"
                     )
                 self._check_unambiguous(uid, e.child, text)
+                if text in read:
+                    raise RenderError(f"two remote groups of unit {uid} read {' '.join(text)!r}")
+                read.add(text)
                 out.append(f"({' '.join(text)} {e.categories.notation()})")
             elif p.units[e.child].kind == IMPLICIT:
                 out.append(f"({IMPLICIT_MARKER} {e.categories.notation()})")
@@ -781,7 +792,7 @@ class _Renderer:
         # lands on exactly one unit, the remote cannot be written as text.
         width = len(text)
         if width not in self.readers:
-            self.readers[width] = _reader_index(self.p.tokens, self.p.extents, {width})
+            self.readers[width] = _reader_index(self.texts, self.p.extents, {width})
         minimal = _minimal_readers(self.readers[width], text, owner, self._parent)
         if len(minimal) != 1:
             raise RenderError(
@@ -790,7 +801,7 @@ class _Renderer:
             )
 
     def _text(self, uid: str) -> tuple[str, ...]:
-        return tuple(self.p.tokens[pos].text for pos in sorted(self.p.extents[uid]))
+        return tuple([self.texts[pos] for pos in sorted(self.p.extents[uid])])
 
     def _parent(self, uid: str) -> str | None:
         edge = self.p.primary_parent_edge(uid)

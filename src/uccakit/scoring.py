@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from operator import itemgetter
 
-from .core import Passage, UccaError, value_type
+from .core import Passage, UccaError, _gc_paused, value_type
 
 
 class TokenMismatch(UccaError):
@@ -45,6 +45,7 @@ def _edge_keys(passage: Passage) -> list[tuple[tuple[int, ...], tuple[str, ...],
     return keys
 
 
+@_gc_paused
 def signatures(passage: Passage) -> list[EdgeSignature]:
     return [EdgeSignature(*key) for key in _edge_keys(passage)]
 
@@ -121,6 +122,7 @@ class ScoreReport:
         return "\n".join(lines)
 
 
+@_gc_paused
 def score(gold: Passage, predicted: Passage) -> ScoreReport:
     """Compare two annotations of the same token sequence.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .core import IMPLICIT, INTERNAL, Edge, Passage, id_key, main_relations, value_type
+from .core import IMPLICIT, INTERNAL, Edge, Passage, _gc_paused, id_key, main_relations, value_type
 
 ERROR = "error"
 WARNING = "warning"
@@ -271,6 +271,7 @@ def load_config(path) -> dict[str, str]:
         return parse_config(handle.read())
 
 
+@_gc_paused
 def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Diagnostic]:
     """Check every rule and return diagnostics sorted by (unit, rule).
 

@@ -63,7 +63,10 @@ def token_streams(draw, max_tokens=9):
 
 
 @st.composite
-def passages(draw, max_tokens=9, allow_remotes=True, tokens=None):
+def passages(draw, max_tokens=9, allow_remotes=True, tokens=None, remote_only=False):
+    """A passage over `tokens`, or over drawn ones.  With `remote_only`, it
+    sometimes holds an internal unit whose only edge is remote, which
+    covers no token and so cannot be rendered."""
     if tokens is None:
         tokens = draw(token_streams(max_tokens=max_tokens))
     positions = [t.position for t in tokens if not t.is_punct]
@@ -118,14 +121,32 @@ def passages(draw, max_tokens=9, allow_remotes=True, tokens=None):
     edges.append(EdgeSpec("root", top, draw(st.sampled_from(["H", "L", "H+UNA"]))))
 
     if allow_remotes and draw(st.booleans()):
-        _add_remotes(draw, units, edges, internal_ids)
+        _add_remotes(draw, units, edges, internal_ids, remote_only)
 
     return build_passage(tokens, units, edges, passage_id="generated")
 
 
-def _add_remotes(draw, units, edges, internal_ids):
+def _add_remotes(draw, units, edges, internal_ids, remote_only):
     primary_parent = {e.child: e.parent for e in edges if not e.remote}
     kind = {u.id: u.kind for u in units}
+    positions = {u.id: u.tokens for u in units}
+    targets = sorted(uid for uid in primary_parent if kind[uid] != "implicit")
+    added = {}  # (parent, target) -> (target, label)
+    first_target = None
+    if remote_only and draw(st.booleans()):
+        # A unit whose subtree is itself alone: an internal unit with no
+        # primary child, whose one edge is remote.  The first remote edge
+        # goes to it, so that a cycle edit can end a range at its owner.
+        host = draw(st.sampled_from(sorted(internal_ids)))
+        ancestors = [host]
+        while ancestors[-1] in primary_parent:
+            ancestors.append(primary_parent[ancestors[-1]])
+        target = draw(st.sampled_from([uid for uid in targets if uid not in ancestors]))
+        units.append(UnitSpec("lone", "internal"))
+        edges += [EdgeSpec(host, "lone", draw(labels)), EdgeSpec("lone", target, "A", True)]
+        primary_parent["lone"], kind["lone"], first_target = host, "internal", "lone"
+        internal_ids.append("lone")
+        added["lone", target] = target, "A"
 
     def below(start):
         # The units reachable from start along primary and already-added
@@ -142,25 +163,53 @@ def _add_remotes(draw, units, edges, internal_ids):
                 stack.extend(children.get(uid, ()))
         return seen
 
-    added = {}  # (parent, target) -> (target, label)
+    def extent(uid):
+        # The token positions under uid along primary edges.
+        under = [extent(e.child) for e in edges if e.parent == uid and not e.remote]
+        return frozenset(positions.get(uid, ())).union(*under)
+
+    def after_subtree(target):
+        # The unit that follows target's subtree in pre-order, if any.
+        children = {}
+        for e in edges:
+            if not e.remote:
+                children.setdefault(e.parent, []).append(e.child)
+        order, stack = [], ["root"]
+        while stack:
+            order.append(stack.pop())
+            stack.extend(reversed(children.get(order[-1], ())))
+        under, k = {target}, order.index(target) + 1
+        while k < len(order) and primary_parent[order[k]] in under:
+            under.add(order[k])
+            k += 1
+        return order[k] if k < len(order) else None
+
     for _ in range(draw(st.integers(1, 2))):
-        if added and draw(st.booleans()):
+        if first_target:
+            target, label, first_target = first_target, "A", None
+        elif added and draw(st.booleans()):
             # The target and label of a remote edge already added: a second
             # edge with the same scoring signature.
             target, label = draw(st.sampled_from(sorted(added.values())))
         else:
-            target = draw(st.sampled_from(
-                sorted(uid for uid in primary_parent if kind[uid] != "implicit")
-            ))
+            target = draw(st.sampled_from(targets))
             label = draw(st.sampled_from(["A", "P", "S", "C", "E"]))
         reach = below(target)
+        # A unit refers to its remote targets by their text, so it may own
+        # only one remote edge to the units reading a text (a unary chain).
+        alike = {parent for parent, other in added if extent(other) == extent(target)}
         parents = [
             uid for uid in sorted(internal_ids)
-            if uid not in reach and uid != primary_parent[target] and (uid, target) not in added
+            if uid not in reach and uid != primary_parent[target] and uid not in alike
         ]
         if not parents:
             continue
         parent = draw(st.sampled_from(parents))
+        after = after_subtree(target)
+        if after in parents and draw(st.booleans()):
+            # The owner right after the target's subtree: the first unit
+            # outside the target's id range.
+            parent = after
         # Anywhere among the specs, so also before or between a parent's
         # primary specs; their order alone fixes the order of children.
         edges.insert(draw(st.integers(0, len(edges))), EdgeSpec(parent, target, label, True))
@@ -355,7 +404,7 @@ def _mutate(draw, doc):
 @st.composite
 def mutated_documents(draw):
     """The interchange bytes of a generated passage after one to three edits."""
-    doc = json.loads(to_interchange(draw(passages(max_tokens=6))))
+    doc = json.loads(to_interchange(draw(passages(max_tokens=6, remote_only=True))))
     for _ in range(draw(st.integers(1, 3))):
         _mutate(draw, doc)
     return canonical_json_bytes(doc)
@@ -366,7 +415,7 @@ def mutated_tables(draw):
     """`build_passage`'s tokens, units and edges for a generated passage
     after up to three edits, in the edited document's order; categories
     come as labels, as notation or as a `CategorySet`."""
-    doc = json.loads(to_interchange(draw(passages(max_tokens=6))))
+    doc = json.loads(to_interchange(draw(passages(max_tokens=6, remote_only=True))))
     for _ in range(draw(st.integers(0, 3))):
         _mutate(draw, doc)
     tokens = [Token(t["text"], i, t["is_punct"]) for i, t in enumerate(doc["tokens"])]

@@ -27,6 +27,9 @@ from uccakit import (
     UnitSpec,
     UnknownCategoryLabel,
     UnresolvedRemote,
+    CategoryCounts,
+    ScoreReport,
+    TokenMismatch,
     build_passage,
     canonical_json_bytes,
     from_interchange,
@@ -34,7 +37,10 @@ from uccakit import (
     lex,
     parse_passage,
     render,
+    score,
+    signatures,
     split_passages,
+    stats,
     to_interchange,
     validate,
     yield_of,
@@ -213,8 +219,8 @@ class TestParseBasics:
         assert err.value.position == source.encode("utf-8").index(b"Z")
 
 
-# Parsing, loading and building a passage run with the cyclic collector
-# paused, which is safe only while they create no reference cycles.
+# Parsing, loading, building and reading a passage run with the cyclic
+# collector paused, which is safe only while they create no reference cycles.
 CYCLE_FREE_SOURCE = "[H [A John] [P- took] [A [F a] [C shower] ] [-P up] (IMP D)] [H [P left] (John A)]"
 
 
@@ -235,11 +241,12 @@ def spec_tables(passage):
 
 
 def outcome(func, *args, **kwargs):
-    """The class of the result or of the `UccaError` raised, keeping neither
-    alive: a caught exception held in a local is a cycle of its own."""
+    """The class of the result or of the `UccaError` or `ValueError` raised,
+    keeping neither alive: a caught exception held in a local is a cycle of
+    its own."""
     try:
         return type(func(*args, **kwargs))
-    except UccaError as exc:
+    except (UccaError, ValueError) as exc:
         return type(exc)
 
 
@@ -251,9 +258,16 @@ def remote_cycle_document() -> bytes:
     return canonical_json_bytes(doc)
 
 
+def one_token_passage(text):
+    return build_passage(
+        [Token(text, 0)], [UnitSpec("r", "internal"), UnitSpec("t", "terminal", (0,))],
+        [EdgeSpec("r", "t", "H")],
+    )
+
+
 class TestNoReferenceCycles:
-    """Every way in or out of the three paused functions frees all it made
-    by reference counting alone."""
+    """Every way in or out of the paused functions frees all it made by
+    reference counting alone."""
 
     @pytest.fixture(autouse=True)
     def collector_off(self):
@@ -314,23 +328,100 @@ class TestNoReferenceCycles:
         assert outcome(build_passage, tokens, units, edges) is error
         assert gc.collect() == 0
 
+    @pytest.mark.parametrize(
+        "func, args, result",
+        [
+            (render, lambda p: (p,), str),
+            (render, lambda p: (p, "right"), str),
+            (to_interchange, lambda p: (p,), bytes),
+            (isomorphic, lambda p: (p, parse_passage(render(p, "right"))), bool),
+            # Equal counts, one label changed: the walk stops at that shape.
+            (isomorphic, lambda p: (p, parse_passage(CYCLE_FREE_SOURCE.replace("F", "E"))), bool),
+            (isomorphic, lambda p: (p, parse_passage("[H [A John] [P left]]")), bool),
+            (score, lambda p: (p, parse_passage(render(p))), ScoreReport),
+            (signatures, lambda p: (p,), list),
+            (validate, lambda p: (p,), list),
+            (validate, lambda p: (p, {"R1": "off", "R10": "warning"}), list),
+            (stats, lambda p: (p,), CategoryCounts),
+        ],
+        ids=["render", "render-right", "to_interchange", "isomorphic", "isomorphic-stops",
+             "isomorphic-counts", "score", "signatures", "validate", "validate-config", "stats"],
+    )
+    def test_reading_a_passage(self, func, args, result):
+        args = args(parse_passage(CYCLE_FREE_SOURCE))
+        gc.collect()  # what the test runner left
+        assert outcome(func, *args) is result
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize(
+        "func, args, error",
+        [
+            (render, lambda: (one_token_passage("a b"),), RenderError),
+            (render, lambda: (one_token_passage("UNA"),), RenderError),
+            (render, lambda: (parse_passage("[H [A John] [P slept (John A)]]"),), RenderError),
+            (
+                render,
+                lambda: (parse_passage((EDGE_DIR / "ambiguous-remote.txt").read_text(),
+                                       lenient_remotes=True, on_warning=lambda _: None),),
+                RenderError,
+            ),
+            (render, lambda: (parse_passage(CYCLE_FREE_SOURCE), "top"), ValueError),
+            (score, lambda: (one_token_passage("a"), one_token_passage("b")), TokenMismatch),
+            (
+                score,
+                lambda: (parse_passage("[H [A a] [P b]]"), parse_passage("[H [A a] [P b] ,]")),
+                TokenMismatch,
+            ),
+        ],
+        ids=["render-delimiter", "render-una", "render-zero-width", "render-ambiguous",
+             "render-side", "score-token", "score-count"],
+    )
+    def test_reading_error_exits(self, func, args, error):
+        args = args()
+        gc.collect()  # what the test runner left
+        assert outcome(func, *args) is error
+        assert gc.collect() == 0
+
 
 class Probe(Exception):
     pass
 
 
-# (function, arguments, the module and name of a function it calls inside the pause)
+def passage_args(*more):
+    return lambda: (parse_passage(CYCLE_FREE_SOURCE), *more)
+
+
+def pair_args():
+    p = parse_passage(CYCLE_FREE_SOURCE)
+    return p, parse_passage(render(p))
+
+
+# (function, arguments, the module and name of a function it calls inside
+# the pause, and how many times it calls it)
 PAUSED = {
-    "parse_passage": (parse_passage, lambda: (CYCLE_FREE_SOURCE,), "notation", "lex"),
+    "parse_passage": (parse_passage, lambda: (CYCLE_FREE_SOURCE,), "notation", "lex", 1),
     "from_interchange": (
         from_interchange,
         lambda: (to_interchange(parse_passage(CYCLE_FREE_SOURCE)),),
         "interchange",
         "_build",
+        1,
     ),
     "build_passage": (
-        build_passage, lambda: spec_tables(parse_passage(CYCLE_FREE_SOURCE)), "core", "_assemble"
+        build_passage,
+        lambda: spec_tables(parse_passage(CYCLE_FREE_SOURCE)),
+        "core",
+        "_assemble",
+        1,
     ),
+    "render": (render, passage_args(), "notation", "_Renderer", 1),
+    "render-right": (render, passage_args("right"), "notation", "_Renderer", 1),
+    "to_interchange": (to_interchange, passage_args(), "interchange", "_array", 3),
+    "isomorphic": (isomorphic, pair_args, "core", "_shape_class", 2),
+    "score": (score, pair_args, "scoring", "_edge_keys", 2),
+    "signatures": (signatures, passage_args(), "scoring", "_edge_keys", 1),
+    "validate": (validate, passage_args(), "validation", "_Checker", 1),
+    "stats": (stats, passage_args(), "core", "CategoryCounts", 1),
 }
 
 
@@ -346,8 +437,9 @@ class TestCollectorPause:
     @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
     @pytest.mark.parametrize("name", list(PAUSED))
     def test_paused_inside_and_restored_after(self, monkeypatch, collector, name, raises, enabled):
-        func, args, module, seam = PAUSED[name]
+        func, args, module, seam, calls = PAUSED[name]
         args = args()
+        returns = type(func.__wrapped__(*args))
         real = getattr(getattr(uccakit, module), seam)
         inside = []
 
@@ -363,9 +455,9 @@ class TestCollectorPause:
             with pytest.raises(Probe):
                 func(*args)
         else:
-            assert isinstance(func(*args), Passage)
+            assert type(func(*args)) is returns
         assert gc.isenabled() is enabled
-        assert inside == [False]
+        assert inside == [False] * (1 if raises else calls)
 
     def test_renumbering_keeps_the_pause(self, monkeypatch, collector):
         data = renumbered(to_interchange(parse_passage(CYCLE_FREE_SOURCE)))
@@ -383,6 +475,16 @@ class TestCollectorPause:
         assert isinstance(from_interchange(data), Passage)
         assert seen == [False] * 4  # the writer-order check, then the sorted build
         assert gc.isenabled()
+
+    @pytest.mark.parametrize("name", list(PAUSED))
+    def test_every_pause_keeps_name_and_docstring(self, name):
+        func = PAUSED[name][0]
+        original = func.__wrapped__
+        assert func is not original
+        assert (func.__name__, func.__qualname__, func.__module__, func.__doc__) == (
+            original.__name__, original.__qualname__, original.__module__, original.__doc__
+        )
+        assert inspect.signature(func) == inspect.signature(original, follow_wrapped=False)
 
     @pytest.mark.parametrize(
         "func, signature",
@@ -1000,6 +1102,25 @@ class TestRender:
         p = parse_passage(source, lenient_remotes=True, on_warning=lambda _: None)
         with pytest.raises(RenderError, match="ambiguous"):
             render(p)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_two_remote_groups_reading_alike_unrenderable(self, side):
+        # w and its only child t both read 'a', so a reader would resolve
+        # both of the second scene's groups to t and refuse the second.
+        p = build_passage(
+            [Token("a", 0), Token("b", 1)],
+            [UnitSpec("r", "internal"), UnitSpec("s1", "internal"), UnitSpec("w", "internal"),
+             UnitSpec("t", "terminal", (0,)), UnitSpec("s2", "internal"),
+             UnitSpec("t2", "terminal", (1,))],
+            [EdgeSpec("r", "s1", "H"), EdgeSpec("s1", "w", "A"), EdgeSpec("w", "t", "C"),
+             EdgeSpec("r", "s2", "H"), EdgeSpec("s2", "t2", "P"),
+             EdgeSpec("s2", "w", "A", True), EdgeSpec("s2", "t", "D", True)],
+        )
+        with pytest.raises(RenderError) as caught:
+            render(p, side)
+        assert str(caught.value) == "two remote groups of unit 4 read 'a'"
+        with pytest.raises(ParseError, match="a second remote group in one unit reads 'a'"):
+            parse_passage("[H [A [C a]]] [H [P b] (a A) (a D)]")
 
     def test_token_with_delimiter_unrenderable(self):
         p = build_passage(

@@ -4,6 +4,7 @@ import json
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from uccakit import (
     CategoryCounts,
     CategorySet,
     EdgeSpec,
+    RemoteCycle,
     RenderError,
     Token,
     UccaError,
@@ -32,6 +34,7 @@ from uccakit import (
     validate,
     yield_of,
 )
+from uccakit import core
 from uccakit.cli import main
 from uccakit.core import id_key
 from uccakit.notation import LABEL, WORD, ParseError
@@ -367,6 +370,42 @@ def test_build_passage_matches_reference_checker(tables, require_coverage):
         return load_outcome(lambda _: build(*tables, require_coverage=require_coverage), None)
 
     assert outcome(build_passage) == outcome(reference_build_passage)
+
+
+@settings(max_examples=300)
+@given(passages(max_tokens=6, remote_only=True), st.randoms())
+def test_cycle_search_runs_only_on_a_cycle(p, rng):
+    # A generated passage has no cycle, so its subtree ranges must show none
+    # and the search that names a unit on one never runs: in the writer's
+    # order, and renumbered from shuffled tables.
+    units = [UnitSpec("u" + u.id, u.kind, tuple(sorted(u.tokens))) for u in p.units.values()]
+    edges = [EdgeSpec("u" + e.parent, "u" + e.child, e.categories, e.remote) for e in p.edges()]
+    rng.shuffle(units)
+    rng.shuffle(edges)
+    with mock.patch.object(core, "_check_dag", side_effect=AssertionError("the search ran")):
+        assert to_interchange(from_interchange(to_interchange(p))) == to_interchange(p)
+        build_passage(p.tokens, units, edges)
+    # A remote edge from a remote edge's target, or from an internal unit
+    # under it, back to that edge's owner closes a cycle, which the ranges
+    # must find as the reference does, also where the target has no
+    # primary child and so is its own range.  (No edge may lead to the root.)
+    remote = [e for e in p.edges() if e.remote and e.parent != p.root]
+    if remote:
+        e = rng.choice(remote)
+        under, stack = [], [e.child]
+        while stack:
+            under.append(stack.pop())
+            stack += [c.child for c in p.units[under[-1]].outgoing if not c.remote]
+        starts = [uid for uid in under if p.units[uid].kind == INTERNAL]
+        if starts:
+            closing = EdgeSpec("u" + rng.choice(starts), "u" + e.parent, "A", True)
+            edges.insert(rng.randrange(len(edges) + 1), closing)
+
+            def outcome(build):
+                return load_outcome(lambda _: build(p.tokens, units, edges), None)
+
+            assert outcome(build_passage) == outcome(reference_build_passage)
+            assert outcome(build_passage)[0] is RemoteCycle
 
 
 def table_outcome(p):

@@ -55,13 +55,18 @@ NOTATION = "text"
 INTERCHANGE = "json"
 
 
+# Control characters, line breaks among them, as the escapes `ascii` writes,
+# so that a message naming a file stays one line whatever the name holds.
+_ESCAPES = {c: ascii(chr(c))[1:-1] for c in [*range(32), *range(127, 160), 0x2028, 0x2029]}
+
+
 class _Failure(Exception):
-    """A failure, reported on stderr and mapped to exit 2.  `_each_file` reports
-    a file's and, with --keep-going, goes on to the next file; `main`, any other."""
+    """A failure, reported on stderr in one line and mapped to exit 2.  `_each_file`
+    reports a file's and, with --keep-going, goes on to the next file; `main`, any other."""
 
     def __init__(self, message: str):
         super().__init__(message)
-        self.message = message
+        self.message = message.translate(_ESCAPES)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -115,7 +120,7 @@ def _load_passages(
         passages = []
         for i, chunk in enumerate(chunks, start=1):
             pid = stem if len(chunks) == 1 else f"{stem}.{i}"
-            warn = lambda msg: print(f"{path}: warning: {msg}", file=sys.stderr)
+            warn = lambda msg: print(f"{path}: warning: {msg}".translate(_ESCAPES), file=sys.stderr)
             passages.append(
                 parse_passage(
                     chunk,

@@ -195,12 +195,10 @@ class Passage:
         """The unit's surface text (primary yield, token order), cut to `limit`
         characters; no token is empty, so that takes at most `limit` tokens."""
         self.unit(unit_id)
-        positions = self.extents[unit_id]
-        if limit is not None and 0 <= limit < len(positions):
-            from heapq import nsmallest
-            positions = nsmallest(limit, positions)
-        text = " ".join(self.tokens[p].text for p in sorted(positions))
-        return text if limit is None else text[:limit]
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must not be negative, not {limit}")
+        text = " ".join([self.tokens[p].text for p in sorted(self.extents[unit_id])[:limit]])
+        return text[:limit]
 
 
 def id_key(unit_id: str):

@@ -629,180 +629,161 @@ def render(passage: Passage, label_side: str = "left") -> str:
     Remote targets are written as the target's surface text, so passages
     in which that text picks out several units cannot round-trip and are
     reported as unrenderable, as are zero-width internal units.
+
+    The passage is written in one left-to-right sweep over its tokens.
+    Every fragment opens before its first token and closes after its
+    last.  Fragments that open or close at the same token are nested, so
+    pre-order opens the outer one first and the reverse order closes the
+    inner one first.  Each token is written once, inside the innermost
+    open fragment.
     """
     if label_side not in ("left", "right"):
         raise ValueError(f"label_side must be 'left' or 'right', not {label_side!r}")
-    return _Renderer(passage, label_side).render()
+    p = passage
+    tokens, units, extents = p.tokens, p.units, p.extents
+    texts = [t.text for t in tokens]
+    if _DELIMITED.search("".join(texts)):  # each delimiter is one character
+        text = next(text for text in texts if _DELIMITED.search(text))
+        raise RenderError(f"token {text!r} contains notation delimiters or spaces")
+    frags = _fragments(p)
+    for uid, unit in units.items():
+        if unit.kind == INTERNAL and not frags[uid] and uid != p.root:
+            raise RenderError(f"unit {uid} covers no tokens and cannot be written")
 
+    # Each bracketed unit's label and UNA mark, and the fragments that
+    # open and close at each token, outer ones first.
+    labels: dict[str, str] = {}
+    label_texts: dict[tuple[str, ...], str] = {}  # per label set
+    una: set[str] = set()
+    parens: set[str] = set()  # units with round-bracket groups
+    opens: list[list[tuple[str, int]]] = [[] for _ in tokens]
+    closes: list[list[tuple[str, int]]] = [[] for _ in tokens]
+    for uid, unit in units.items():
+        if uid != p.root:
+            for k, (first, last) in enumerate(frags[uid]):
+                opens[first].append((uid, k))
+                closes[last].append((uid, k))
+        groups: dict[str, list[str]] = {}
+        for e in unit.outgoing:
+            if e.remote or not frags[e.child]:  # a remote or implicit child
+                parens.add(uid)
+                continue
+            cats = e.categories.labels
+            label = label_texts.get(cats)
+            if label is None:
+                # An edge carrying only UNA cannot be built, so this is never empty.
+                label = label_texts[cats] = "+".join([l for l in cats if l != UNA_MARKER])
+            labels[e.child] = label
+            if UNA_MARKER in cats:
+                una.add(e.child)
+            if len(frags[e.child]) > 1:
+                groups.setdefault(label, []).append(e.child)
+        for members in groups.values():
+            if len(members) > 1:
+                members.sort(key=lambda cid: frags[cid][0][0])
+                for n, cid in enumerate(members, start=1):
+                    labels[cid] += str(n)
 
-class _Renderer:
-    def __init__(self, passage: Passage, label_side: str):
-        self.p = passage
-        self.side = label_side
-        self.texts = [t.text for t in passage.tokens]
-        self.readers: dict[int, dict[tuple[str, ...], list[str]]] = {}  # by text length
+    # A remote is written as its target's text, and only if the parser's
+    # resolution of that text lands on exactly one unit; like the parser,
+    # index the readers of every width the targets have, once.
+    widths = {len(extents[e.child]) for uid in parens for e in units[uid].outgoing if e.remote}
+    readers = _reader_index(texts, extents, widths) if widths else {}
 
-    def render(self) -> str:
-        """Write the passage in one left-to-right sweep over its tokens.
+    def parent(uid: str) -> str | None:
+        edge = p.primary_parent_edge(uid)
+        return edge and edge.parent
 
-        Every fragment opens before its first token and closes after its
-        last.  Fragments that open or close at the same token are nested,
-        so pre-order opens the outer one first and the reverse order
-        closes the inner one first.  Each token is written once, inside
-        the innermost open fragment.
-        """
-        p = self.p
-        tokens = p.tokens
-        if _DELIMITED.search("".join(self.texts)):  # each delimiter is one character
-            text = next(text for text in self.texts if _DELIMITED.search(text))
-            raise RenderError(f"token {text!r} contains notation delimiters or spaces")
-        frags = self._fragments()
-        for uid, unit in p.units.items():
-            if unit.kind == INTERNAL and not frags[uid] and uid != p.root:
-                raise RenderError(f"unit {uid} covers no tokens and cannot be written")
-
-        # Each bracketed unit's label and UNA mark, and the fragments that
-        # open and close at each token, outer ones first.
-        labels: dict[str, str] = {}
-        label_texts: dict[tuple[str, ...], str] = {}  # per label set
-        una: set[str] = set()
-        parens: set[str] = set()  # units with round-bracket groups
-        opens: list[list[tuple[str, int]]] = [[] for _ in tokens]
-        closes: list[list[tuple[str, int]]] = [[] for _ in tokens]
-        for uid, unit in p.units.items():
-            if uid != p.root:
-                for k, (first, last) in enumerate(frags[uid]):
-                    opens[first].append((uid, k))
-                    closes[last].append((uid, k))
-            groups: dict[str, list[str]] = {}
-            for e in unit.outgoing:
-                if e.remote or not frags[e.child]:  # a remote or implicit child
-                    parens.add(uid)
-                    continue
-                cats = e.categories.labels
-                label = label_texts.get(cats)
-                if label is None:
-                    # An edge carrying only UNA cannot be built, so this is never empty.
-                    label = label_texts[cats] = "+".join([l for l in cats if l != UNA_MARKER])
-                labels[e.child] = label
-                if UNA_MARKER in cats:
-                    una.add(e.child)
-                if len(frags[e.child]) > 1:
-                    groups.setdefault(label, []).append(e.child)
-            for members in groups.values():
-                if len(members) > 1:
-                    members.sort(key=lambda cid: frags[cid][0][0])
-                    for n, cid in enumerate(members, start=1):
-                        labels[cid] += str(n)
-
-        out: list[str] = []
-        glue = ""  # opening brackets still waiting for their first piece
-        unwritten: list[str | None] = []  # each open fragment's label, until written
-        for pos, tok in enumerate(tokens):
-            for uid, k in opens[pos]:
-                label = labels[uid]
-                if len(frags[uid]) > 1:
-                    label = f"{label}-" if k == 0 else f"-{label}"
-                # A leading label-shaped word would win label detection, so
-                # such a terminal falls back to a left-side label.
-                if self.side == "left" or (
-                    p.units[uid].kind == TERMINAL and _LABEL_TEXT.fullmatch(tok.text)
-                ):
-                    out.append(f"{glue}[{label}")
-                    glue, label = "", None
-                else:
-                    glue += "["
-                unwritten.append(label)
-            out.append(glue + tok.text)
-            glue = ""
-            for uid, k in reversed(closes[pos]):
-                label = unwritten.pop()
-                if k == 0 and uid in una:
-                    out.append(UNA_MARKER)
-                elif p.units[uid].kind == TERMINAL and tok.text == UNA_MARKER:
-                    raise RenderError(
-                        f"unit {uid} ends with the literal word 'UNA', which the notation reserves"
-                    )
-                elif label is None and out[-2] == UNA_MARKER and _LABEL_TEXT.fullmatch(out[-1]):
-                    # A terminal with its label written first would end "UNA <label>]".
-                    raise RenderError(
-                        f"unit {uid} ends with the literal words 'UNA {tok.text}', which the"
-                        " notation reads as the unanalyzable mark and a label"
-                    )
-                if label is not None:
-                    out.append(label)
-                if k == len(frags[uid]) - 1 and uid in parens:
-                    out.extend(self._paren_texts(uid))
-                out[-1] += "]"
-        if p.root in parens:
-            out.extend(self._paren_texts(p.root))
-        return " ".join(out)
-
-    def _fragments(self) -> dict[str, list[tuple[int, int]]]:
-        """Each unit's fragments as (first, last) token positions.
-
-        A fragment is a maximal run of the unit's tokens with only
-        punctuation between them.  Pre-order ids put children before
-        parents in reverse, so an internal unit merges the fragments of
-        its primary children.
-        """
-        p = self.p
-        words_before = list(accumulate((not t.is_punct for t in p.tokens), initial=0))
-        frags: dict[str, list[tuple[int, int]]] = {}
-        for uid in reversed(p.units):
-            unit = p.units[uid]
-            if unit.kind == TERMINAL:
-                runs = [(pos, pos) for pos in sorted(unit.tokens)]
-            else:
-                runs = sorted(f for e in unit.outgoing if not e.remote for f in frags[e.child])
-            merged = frags[uid] = []
-            for first, last in runs:
-                if merged and words_before[first] == words_before[merged[-1][1] + 1]:
-                    merged[-1] = (merged[-1][0], last)
-                else:
-                    merged.append((first, last))
-        return frags
-
-    def _paren_texts(self, uid: str) -> list[str]:
-        p = self.p
-        out = []
+    def paren_texts(uid: str) -> list[str]:
+        written = []
         read = set()  # a reader resolves two groups alike when they read alike
-        for e in p.units[uid].outgoing:
+        for e in units[uid].outgoing:
             if e.remote:
-                text = self._text(e.child)
+                text = tuple([texts[pos] for pos in sorted(extents[e.child])])
                 if not text:
                     raise RenderError(
                         f"remote target {e.child} has no surface text to refer to it by"
                     )
                 if text == (IMPLICIT_MARKER,):
+                    raise RenderError("remote target reads 'IMP', which the notation reserves")
+                minimal = _minimal_readers(readers, text, uid, parent)
+                if len(minimal) != 1:
                     raise RenderError(
-                        "remote target reads 'IMP', which the notation reserves"
+                        f"{len(minimal)} units read {' '.join(text)!r}; the remote reference"
+                        f" to {e.child} would be ambiguous"
                     )
-                self._check_unambiguous(uid, e.child, text)
                 if text in read:
                     raise RenderError(f"two remote groups of unit {uid} read {' '.join(text)!r}")
                 read.add(text)
-                out.append(f"({' '.join(text)} {e.categories.notation()})")
-            elif p.units[e.child].kind == IMPLICIT:
-                out.append(f"({IMPLICIT_MARKER} {e.categories.notation()})")
-        return out
+                written.append(f"({' '.join(text)} {e.categories.notation()})")
+            elif units[e.child].kind == IMPLICIT:
+                written.append(f"({IMPLICIT_MARKER} {e.categories.notation()})")
+        return written
 
-    def _check_unambiguous(self, owner: str, target: str, text: tuple[str, ...]) -> None:
-        # Re-run the reference resolution a reader would apply; unless it
-        # lands on exactly one unit, the remote cannot be written as text.
-        width = len(text)
-        if width not in self.readers:
-            self.readers[width] = _reader_index(self.texts, self.p.extents, {width})
-        minimal = _minimal_readers(self.readers[width], text, owner, self._parent)
-        if len(minimal) != 1:
-            raise RenderError(
-                f"{len(minimal)} units read {' '.join(text)!r}; the remote reference to"
-                f" {target} would be ambiguous"
-            )
+    out: list[str] = []
+    glue = ""  # opening brackets still waiting for their first piece
+    unwritten: list[str | None] = []  # each open fragment's label, until written
+    for pos, tok in enumerate(tokens):
+        for uid, k in opens[pos]:
+            label = labels[uid]
+            if len(frags[uid]) > 1:
+                label = f"{label}-" if k == 0 else f"-{label}"
+            # A leading label-shaped word would win label detection, so
+            # such a terminal falls back to a left-side label.
+            if label_side == "left" or (
+                units[uid].kind == TERMINAL and _LABEL_TEXT.fullmatch(tok.text)
+            ):
+                out.append(f"{glue}[{label}")
+                glue, label = "", None
+            else:
+                glue += "["
+            unwritten.append(label)
+        out.append(glue + tok.text)
+        glue = ""
+        for uid, k in reversed(closes[pos]):
+            label = unwritten.pop()
+            if k == 0 and uid in una:
+                out.append(UNA_MARKER)
+            elif units[uid].kind == TERMINAL and tok.text == UNA_MARKER:
+                raise RenderError(
+                    f"unit {uid} ends with the literal word 'UNA', which the notation reserves"
+                )
+            elif label is None and out[-2] == UNA_MARKER and _LABEL_TEXT.fullmatch(out[-1]):
+                # A terminal with its label written first would end "UNA <label>]".
+                raise RenderError(
+                    f"unit {uid} ends with the literal words 'UNA {tok.text}', which the"
+                    " notation reads as the unanalyzable mark and a label"
+                )
+            if label is not None:
+                out.append(label)
+            if k == len(frags[uid]) - 1 and uid in parens:
+                out.extend(paren_texts(uid))
+            out[-1] += "]"
+    if p.root in parens:
+        out.extend(paren_texts(p.root))
+    return " ".join(out)
 
-    def _text(self, uid: str) -> tuple[str, ...]:
-        return tuple([self.texts[pos] for pos in sorted(self.p.extents[uid])])
 
-    def _parent(self, uid: str) -> str | None:
-        edge = self.p.primary_parent_edge(uid)
-        return edge and edge.parent
+def _fragments(p: Passage) -> dict[str, list[tuple[int, int]]]:
+    """Each unit's fragments as (first, last) token positions.
+
+    A fragment is a maximal run of the unit's tokens with only
+    punctuation between them.  Pre-order ids put children before
+    parents in reverse, so an internal unit merges the fragments of
+    its primary children.
+    """
+    words_before = list(accumulate((not t.is_punct for t in p.tokens), initial=0))
+    frags: dict[str, list[tuple[int, int]]] = {}
+    for uid in reversed(p.units):
+        unit = p.units[uid]
+        if unit.kind == TERMINAL:
+            runs = [(pos, pos) for pos in sorted(unit.tokens)]
+        else:
+            runs = sorted(f for e in unit.outgoing if not e.remote for f in frags[e.child])
+        merged = frags[uid] = []
+        for first, last in runs:
+            if merged and words_before[first] == words_before[merged[-1][1] + 1]:
+                merged[-1] = (merged[-1][0], last)
+            else:
+                merged.append((first, last))
+    return frags

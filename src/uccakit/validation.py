@@ -282,12 +282,15 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
     config = config or {}
     checker = _Checker(passage)
     out: list[Diagnostic] = []
+    excerpts: dict[str, str] = {}  # one per unit, however many rules it breaks
     for info, check in _RULES.values():
         severity = config.get(info.id, info.severity)
         if severity == OFF:
             continue
         for unit_id, message in check(checker):
-            excerpt = passage.text_of(unit_id, _EXCERPT)
+            excerpt = excerpts.get(unit_id)
+            if excerpt is None:
+                excerpt = excerpts[unit_id] = passage.text_of(unit_id, _EXCERPT)
             out.append(Diagnostic(info.id, severity, unit_id, f"{message}: '{excerpt}'"))
     # The checks ran in rule order and the sort is stable: (unit, rule) order.
     out.sort(key=lambda d: id_key(d.unit))

@@ -1,12 +1,17 @@
+import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uccakit import (
     EdgeSpec,
@@ -23,6 +28,7 @@ from uccakit import cli
 from uccakit.cli import entry_point, main
 
 from conftest import CORPUS_DIR, EDGE_DIR
+from strategies import bracket_sources, mutated_documents
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -745,3 +751,148 @@ class TestUsage:
         written = tmp_path / "01-kicked-ball.ucca.json"
         expected = parse_passage(KICKED.read_text(), passage_id="01-kicked-ball")
         assert written.read_bytes() == to_interchange(expected)
+
+
+# File names as the operating system hands them over: any bytes but "/" and
+# NUL, with spaces, line breaks, undecodable bytes and both extensions made likely.
+_NAME_PIECES = [b"a", b" ", b"-", b"\n", b"\xe9", b"\xff", b"\xc3\xa9", b".txt", b".ucca.json"]
+
+
+def _file_name(pieces: list[bytes]) -> bytes:
+    name = b"".join(pieces).replace(b"/", b"_").replace(b"\0", b"_")
+    return name if name.strip(b".") else name + b"_"  # never "." or ".."
+
+
+def _spelled(data: bytes, bom: bool, crlf: bool) -> bytes:
+    """`data` after a UTF-8 byte-order mark, and with CRLF line ends, as asked."""
+    return (b"\xef\xbb\xbf" if bom else b"") + (data.replace(b"\n", b"\r\n") if crlf else data)
+
+
+file_names = st.lists(
+    st.one_of(st.sampled_from(_NAME_PIECES), st.binary(min_size=1, max_size=2)),
+    min_size=1,
+    max_size=4,
+).map(_file_name)
+file_contents = st.builds(
+    _spelled,
+    st.one_of(
+        st.lists(bracket_sources(), min_size=1, max_size=2).map(
+            lambda texts: "\n\n".join(texts).encode("utf-8") + b"\n"
+        ),
+        mutated_documents(),
+        st.binary(max_size=48),
+    ),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@st.composite
+def cli_calls(draw):
+    """A command, its options, and its files as (name, contents or None if missing)."""
+    command = draw(st.sampled_from(["parse", "validate", "convert", "score", "stats"]))
+    count = {"convert": 1, "score": 2}.get(command) or draw(st.integers(1, 2))
+    files = [
+        (draw(file_names), None if draw(st.integers(0, 9)) == 0 else draw(file_contents))
+        for _ in range(count)
+    ]
+    options = []
+    if command in ("validate", "score", "stats"):
+        options += ["--format", draw(st.sampled_from(["text", "json"]))]
+    if command == "convert":
+        options += ["--label-side", draw(st.sampled_from(["left", "right"]))]
+        options += draw(st.sampled_from([[], ["--to", "text"], ["--to", "json"]]))
+    if command in ("parse", "validate", "stats") and draw(st.booleans()):
+        options.append("--keep-going")
+    return command, options, files
+
+
+def run_in_process(argv):
+    """main(argv) over byte streams as a process has them: the exit code,
+    stdout and stderr."""
+    out, err = io.BytesIO(), io.BytesIO()
+    stdout = io.TextIOWrapper(out, encoding="utf-8")
+    stderr = io.TextIOWrapper(err, encoding="utf-8", errors="backslashreplace")
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        stdout.flush()
+        stderr.flush()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_process(argv):
+    env = {k: v for k, v in os.environ.items() if k != "UCCA_CONFIG"}
+    done = subprocess.run(
+        [sys.executable, "-m", "uccakit", *argv],
+        env=dict(env, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def check_contract(run, call):
+    command, options, files = call
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, (name, contents) in enumerate(files):
+            # One directory per file, so that no output can land on another input.
+            folder = os.path.join(os.fsencode(tmp), b"d%d" % i)
+            os.mkdir(folder)
+            path = os.path.join(folder, name)
+            if contents is not None:
+                with open(path, "wb") as handle:
+                    handle.write(contents)
+            paths.append(os.fsdecode(path))
+        code, out, err = run([command, *options, "--", *paths])
+        assert code in (0, 1, 2), err
+        assert b"Traceback" not in err
+        if code == 1:
+            assert command == "validate"
+            if "json" in options:
+                assert any(row["severity"] == "error" for row in json.loads(out))
+            else:
+                assert re.search(rb": unit \d+: [A-Z]+\d+ error: ", out)
+        if code != 2:
+            assert err == b""
+            return
+        assert out == b""
+        failed = 1
+        if "--keep-going" in options and len(paths) > 1:
+            failed = sum(run([command, *options, "--", path])[0] == 2 for path in paths)
+        assert err.count(b"\n") == failed and err.endswith(b"\n"), err
+
+
+class TestOperatingSystemBoundary:
+    """Every command on generated files ends in exit 0, 1 or 2, with exit 1
+    only for error diagnostics, and exit 2 with empty stdout and one stderr
+    line per failed file, never a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cli_calls())
+    def test_in_process(self, call):
+        check_contract(run_in_process, call)
+
+    @settings(max_examples=3, deadline=None)
+    @given(cli_calls())
+    def test_as_a_process(self, call):
+        check_contract(run_process, call)
+
+    def test_line_break_in_a_name_is_escaped(self, capsys, tmp_path):
+        shown = f"{tmp_path}{os.sep}a\\nb.txt"
+        code, out, err = run(capsys, "stats", "--", str(tmp_path / "a\nb.txt"))
+        assert (code, out) == (2, "")
+        assert err == f"{shown}: [Errno 2] No such file or directory: '{shown}'\n"
+
+    def test_warning_naming_a_file_is_one_line(self, capsys, tmp_path):
+        source = tmp_path / "a\nb.txt"
+        source.write_bytes(AMBIGUOUS.read_bytes())
+        out_dir = str(tmp_path / "out")
+        argv = ["parse", "--lenient-remotes", "--out-dir", out_dir, "--", str(source)]
+        code, _, err = run(capsys, *argv)
+        assert code == 0
+        assert err.count("\n") == 1
+        assert err.startswith(f"{tmp_path}{os.sep}a\\nb.txt: warning: ")

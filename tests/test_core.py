@@ -463,7 +463,7 @@ def test_extents_are_public_and_read_only():
         p.extents[p.root] = frozenset()
 
 
-@pytest.mark.parametrize("limit", [None, -3, 0, 1, 4, 5, 12, 40, 1000])
+@pytest.mark.parametrize("limit", [None, 0, 1, 4, 5, 12, 40, 1000])
 def test_text_of_cuts_the_full_text(limit):
     # Deep, discontiguous and punctuated units, with words of mixed lengths.
     deep = "".join(f"[E [E {'w' * (i % 4 + 1)}{i}] " for i in range(60)) + "[C x]" + "]" * 60
@@ -472,6 +472,25 @@ def test_text_of_cuts_the_full_text(limit):
     for uid in p.units:
         full = " ".join(p.tokens[pos].text for pos in sorted(p.extents[uid]))
         assert p.text_of(uid, limit) == (full if limit is None else full[:limit])
+
+
+@pytest.mark.parametrize(
+    "limit, text",
+    [(None, "John kicked the ball"), (0, ""), (1, "J"), (19, "John kicked the bal"),
+     (20, "John kicked the ball")],
+)
+def test_text_of_literal_cuts(limit, text):
+    p = parse_passage("[H [A John] [P kicked] [A [F the] [C ball] ] ]")
+    assert p.text_of(p.root, limit) == text
+
+
+@pytest.mark.parametrize("limit", [-3, -1])
+def test_text_of_negative_limit_raises(limit):
+    # A negative limit would cut characters off the end instead.
+    p = parse_passage("[H [A John] [P kicked] [A [F the] [C ball] ] ]")
+    with pytest.raises(ValueError) as err:
+        p.text_of(p.root, limit)
+    assert str(err.value) == f"limit must not be negative, not {limit}"
 
 
 @pytest.mark.parametrize("limit", [None, 3])

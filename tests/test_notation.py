@@ -265,6 +265,96 @@ def one_token_passage(text):
     )
 
 
+def table_passage(words, edges):
+    """A passage over `words` from (parent, child, label[, remote]) edges:
+    "r" is the root, "t<i>" the terminal over word i, a name starting with
+    "i" an implicit unit and any other name an internal unit."""
+    names = dict.fromkeys(name for edge in edges for name in edge[:2])
+
+    def spec(name):
+        if name[0] == "t":
+            return UnitSpec(name, "terminal", (int(name[1:]),))
+        return UnitSpec(name, "implicit" if name[0] == "i" else "internal")
+
+    return build_passage(
+        [Token(w, i) for i, w in enumerate(words)],
+        [spec(name) for name in names],
+        [EdgeSpec(*edge) for edge in edges],
+    )
+
+
+# Passages with two faults render can report, or with one for contrast, and
+# the message of the fault it reports: delimiters first, then zero-width
+# units, then the faults of the sweep in token order.  A unit's remote
+# groups are checked in turn, each for empty text, IMP and ambiguity, in
+# that order, and then against the groups before it.
+RENDER_PRECEDENCE = {
+    "ambiguous-before-una": (
+        "John slept left John woke UNA",
+        [("r", "h1", "H"), ("h1", "t0", "A"), ("h1", "t1", "P"), ("r", "h3", "H"),
+         ("h3", "t2", "P"), ("h3", "t0", "A", True), ("r", "h2", "H"), ("h2", "t3", "A"),
+         ("h2", "t4", "P"), ("r", "h4", "H"), ("h4", "t5", "P")],
+        "2 units read 'John'; the remote reference to 2 would be ambiguous",
+    ),
+    "una-before-ambiguous": (
+        "UNA John slept John woke left",
+        [("r", "h4", "H"), ("h4", "t0", "P"), ("r", "h1", "H"), ("h1", "t1", "A"),
+         ("h1", "t2", "P"), ("r", "h2", "H"), ("h2", "t3", "A"), ("h2", "t4", "P"),
+         ("r", "h3", "H"), ("h3", "t5", "P"), ("h3", "t1", "A", True)],
+        "unit 2 ends with the literal word 'UNA', which the notation reserves",
+    ),
+    "imp-target": (
+        "IMP slept woke ran",
+        [("r", "h1", "H"), ("h1", "t0", "A"), ("h1", "t1", "P"), ("r", "h2", "H"),
+         ("h2", "t2", "P"), ("h2", "t0", "A", True), ("r", "h3", "H"), ("h3", "t3", "P")],
+        "remote target reads 'IMP', which the notation reserves",
+    ),
+    "zero-width-before-imp-target": (
+        "IMP slept woke ran",
+        [("r", "h1", "H"), ("h1", "t0", "A"), ("h1", "t1", "P"), ("r", "h2", "H"),
+         ("h2", "t2", "P"), ("h2", "t0", "A", True), ("r", "h3", "H"), ("h3", "t3", "P"),
+         ("h3", "e", "A"), ("e", "i", "A")],
+        "unit 8 covers no tokens and cannot be written",
+    ),
+    "empty-before-ambiguous": (
+        "slept woke John ran John left",
+        [("r", "h1", "H"), ("h1", "t0", "P"), ("h1", "i", "A"), ("r", "h2", "H"),
+         ("h2", "t1", "P"), ("h2", "i", "A", True), ("r", "h3", "H"), ("h3", "t2", "A"),
+         ("h3", "t3", "P"), ("r", "h5", "H"), ("h5", "t4", "A"), ("r", "h4", "H"),
+         ("h4", "t5", "P"), ("h4", "t2", "A", True)],
+        "remote target 3 has no surface text to refer to it by",
+    ),
+    "imp-before-ambiguous-in-one-group": (
+        "IMP slept IMP woke left",
+        [("r", "h1", "H"), ("h1", "t0", "A"), ("h1", "t1", "P"), ("r", "h2", "H"),
+         ("h2", "t2", "A"), ("h2", "t3", "P"), ("r", "h3", "H"), ("h3", "t4", "P"),
+         ("h3", "t0", "A", True)],
+        "remote target reads 'IMP', which the notation reserves",
+    ),
+    "empty-before-ambiguous-in-one-group": (
+        "slept woke left",
+        [("r", "h1", "H"), ("h1", "t0", "P"), ("h1", "i1", "A"), ("r", "h2", "H"),
+         ("h2", "t1", "P"), ("h2", "i2", "A"), ("r", "h3", "H"), ("h3", "t2", "P"),
+         ("h3", "i1", "A", True)],
+        "remote target 3 has no surface text to refer to it by",
+    ),
+    "ambiguous-before-alike": (
+        "a b John c John",
+        [("r", "s1", "H"), ("s1", "w", "A"), ("w", "t0", "C"), ("r", "s2", "H"),
+         ("s2", "t1", "P"), ("s2", "t2", "A", True), ("s2", "w", "A", True),
+         ("s2", "t0", "D", True), ("r", "s3", "H"), ("s3", "t2", "A"), ("s3", "t3", "P"),
+         ("r", "s4", "H"), ("s4", "t4", "A")],
+        "2 units read 'John'; the remote reference to 7 would be ambiguous",
+    ),
+    "delimiter-before-zero-width": (
+        "a(b slept",
+        [("r", "h", "H"), ("h", "t0", "A"), ("h", "t1", "P"), ("h", "e", "D"),
+         ("e", "i", "A")],
+        "token 'a(b' contains notation delimiters or spaces",
+    ),
+}
+
+
 class TestNoReferenceCycles:
     """Every way in or out of the paused functions frees all it made by
     reference counting alone."""
@@ -414,8 +504,8 @@ PAUSED = {
         "_assemble",
         1,
     ),
-    "render": (render, passage_args(), "notation", "_Renderer", 1),
-    "render-right": (render, passage_args("right"), "notation", "_Renderer", 1),
+    "render": (render, passage_args(), "notation", "_fragments", 1),
+    "render-right": (render, passage_args("right"), "notation", "_fragments", 1),
     "to_interchange": (to_interchange, passage_args(), "interchange", "_array", 3),
     "isomorphic": (isomorphic, pair_args, "core", "_shape_class", 2),
     "score": (score, pair_args, "scoring", "_edge_keys", 2),
@@ -838,7 +928,7 @@ class TestReaderIndex:
         p = parse_passage(self.TWO_WIDTHS)
         builds.clear()
         text = render(p, side)
-        assert sorted(map(sorted, builds)) == [[1], [2]]
+        assert builds == [{1, 2}]
         assert isomorphic(parse_passage(text), p)
 
     def test_no_remotes_build_no_index(self, builds):
@@ -1147,6 +1237,15 @@ class TestRender:
         with pytest.raises(RenderError) as caught:
             render(p)
         assert str(caught.value) == f"token {text!r} contains notation delimiters or spaces"
+
+    @pytest.mark.parametrize("case", list(RENDER_PRECEDENCE))
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_first_fault_wins(self, case, side):
+        words, edges, message = RENDER_PRECEDENCE[case]
+        p = table_passage(words.split(), edges)
+        with pytest.raises(RenderError) as caught:
+            render(p, side)
+        assert str(caught.value) == message
 
     def test_zero_width_internal_unit_unrenderable(self):
         p = build_passage(

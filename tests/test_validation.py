@@ -5,6 +5,7 @@ import pytest
 
 from uccakit import (
     EdgeSpec,
+    Passage,
     Token,
     UnitSpec,
     build_passage,
@@ -276,6 +277,29 @@ class TestReporting:
         (diag,) = validate(parse_passage(source))
         text = "the philosopher contemplated procrastinated"
         assert diag.message.endswith(f": '{text[:40]}'")
+
+    @pytest.mark.parametrize("config", [{}, {"R1": "off"}, {"R10": "warning"}])
+    def test_one_excerpt_per_diagnostic_unit(self, monkeypatch, config):
+        # Half the tokens left outside every unit: one R10 diagnostic each,
+        # all on the root, beside the unit-level rules' diagnostics.
+        words = [Token(f"w{i}", i) for i in range(40)]
+        units = [UnitSpec("r", "internal"), UnitSpec("s", "internal")]
+        units += [UnitSpec(f"t{i}", "terminal", (i,)) for i in range(0, 40, 2)]
+        edges = [EdgeSpec("r", "s", "H"), EdgeSpec("s", "t0", "P"), EdgeSpec("s", "t2", "P")]
+        edges += [EdgeSpec("r", f"t{i}", "A") for i in range(4, 40, 2)]
+        p = build_passage(words, units, edges, require_coverage=False)
+        expected = validate(p, config)
+        real, read = Passage.text_of, []
+
+        def counting(passage, unit_id, limit=None):
+            read.append(unit_id)
+            return real(passage, unit_id, limit)
+
+        monkeypatch.setattr(Passage, "text_of", counting)
+        diags = validate(p, config)
+        assert diags == expected
+        assert sum(d.rule == "R10" for d in diags) == 20
+        assert sorted(read) == sorted({d.unit for d in diags})
 
     def test_r10_names_token_and_position(self):
         (diag,) = validate(parse_passage(MUTANT_SOURCES["R10"]))

@@ -56,7 +56,7 @@ INTERCHANGE = "json"
 
 
 # Control characters, line breaks among them, as the escapes `ascii` writes,
-# so that a message naming a file stays one line whatever the name holds.
+# so that any output line naming a file stays one line whatever the name holds.
 _ESCAPES = {c: ascii(chr(c))[1:-1] for c in [*range(32), *range(127, 160), 0x2028, 0x2029]}
 
 
@@ -221,11 +221,8 @@ def cmd_parse(args) -> int:
                 raise _Failure(f"{target}: {exc}") from exc
             written.append(str(target))
         tokens = sum(len(p.tokens) for p in passages)
-        buffer.write(
-            f"{path}: {len(passages)} passage(s), {tokens} token(s) -> "
-            + ", ".join(written)
-            + "\n"
-        )
+        summary = f"{path}: {len(passages)} passage(s), {tokens} token(s) -> {', '.join(written)}"
+        buffer.write(summary.translate(_ESCAPES) + "\n")
         return OK
 
     return _flush(_each_file(args, parse), buffer)
@@ -238,6 +235,7 @@ def cmd_validate(args) -> int:
 
     def check(path: str) -> int:
         status = OK
+        shown = path.translate(_ESCAPES)
         for passage in _load_passages(path, args.source_format):
             for d in validate(passage, config):
                 if d.severity == "error":
@@ -255,7 +253,7 @@ def cmd_validate(args) -> int:
                     )
                 else:
                     buffer.write(
-                        f"{path}: unit {d.unit}: {d.rule} {d.severity}: {d.message}\n"
+                        f"{shown}: unit {d.unit}: {d.rule} {d.severity}: {d.message}\n"
                     )
         return status
 
@@ -401,10 +399,6 @@ def main(argv=None) -> int:
         return args.handler(args)
     except _Failure as failure:
         print(failure.message, file=sys.stderr)
-        return FAILURE
-    except RecursionError:
-        # Output is buffered per command, so nothing has reached stdout.
-        print("uccakit: error: input nested too deeply to process", file=sys.stderr)
         return FAILURE
 
 

@@ -292,10 +292,10 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
     is not punctuation.
 
     Tables in pre-order, as the writer leaves them, cost one pass over the
-    edges and one over the units, which also records where each unit's
-    subtree ends and lays the units out as `_assemble` takes them.  Step 10
-    then reads only the remote edges (`_remote_cycle`), and `_check_dag`
-    runs only to name a unit on a cycle found.
+    edges and one over the units, which lays them out as `_assemble` takes
+    them; others are renumbered after step 9's walk.  Step 10 then reads
+    the pre-order rows below the remote targets (`_remote_cycle`), and
+    `_check_dag` runs only to name a unit on a cycle found, by its given id.
     """
     if not all([tok.text for tok in tokens]):
         raise InvalidToken(f"token {[tok.text for tok in tokens].index('')} has empty text")
@@ -365,10 +365,9 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
 
     # With edges in (parent, child) order, the units are in pre-order when
     # each unit's primary parent is on the path from the root to the one
-    # before; the units that leave the path end their subtrees there.
+    # before.
     in_preorder = root == 0 and not unsorted
     path: list[int] = []
-    end = [n - 1] * n
     claimed = bytearray(len(tokens))
     twice = False
     rows = []  # for `_assemble`, if the units keep their ids and order
@@ -401,7 +400,7 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
             raise InvalidUnit(f"root unit {uid!r} must be internal, not {kind}")
         if in_preorder:
             while path and path[-1] != parent_of[i]:
-                end[path.pop()] = i - 1
+                path.pop()
             in_preorder = not (i and not path)
             path.append(i)
 
@@ -414,7 +413,7 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
     # Every non-root unit has exactly one primary parent, so a pre-order
     # walk reaches each unit at most once, and a unit it never reaches sits
     # on a cycle.
-    order = rank = range(n)
+    order = range(n)
     if not in_preorder:
         order = []
         stack = [root]
@@ -425,17 +424,16 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
         if len(order) != n:
             missing = sorted(set(ids) - {ids[i] for i in order})
             raise PrimaryCycle(f"units {missing!r} are not reachable from the root")
-        if remotes:
-            rank = [0] * n
-            for k, i in enumerate(order):
-                rank[i] = k
-            end = rank[:]
-            for i in reversed(order[1:]):  # each unit before its parent
-                end[parent_of[i]] = max(end[parent_of[i]], end[i])
+    if not (numbered and in_preorder):
+        rename = dict(zip([ids[i] for i in order], _numerals(n)))
+        rows = [(rename[ids[i]], units[i][1], units[i][2],
+                 [Edge(rename[e.parent], rename[e.child], e.categories, e.remote)
+                  for e in outgoing[i]]) for i in order]
+        remotes = [(int(rename[ids[p]]), int(rename[ids[c]])) for p, c in remotes]
 
     # Without remote edges the walk has already shown the graph is a tree;
     # the search names a unit on the cycle the ranges found.
-    if remotes and _remote_cycle(remotes, rank, end):
+    if remotes and _remote_cycle(remotes, rows):
         _check_dag(ids, dict(zip(ids, outgoing)))
 
     if twice:
@@ -448,20 +446,14 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
         for i, t in enumerate(tokens):
             if not t.is_punct and not claimed[i]:
                 raise TokenCoverageGap(f"token {t.text!r} (position {i}) belongs to no unit")
-
-    if not (numbered and in_preorder):
-        rename = dict(zip([ids[i] for i in order], _numerals(n)))
-        units = [(rename[uid], kind, positions) for uid, kind, positions in units]
-        outgoing = [[Edge(rename[e.parent], rename[e.child], e.categories, e.remote) for e in out]
-                    for out in outgoing]
-        rows = [(*units[i], outgoing[i]) for i in order]
     return _assemble(passage_id, tokens, rows, _extents(rows))
 
 
-def _remote_cycle(remotes, rank, end) -> bool:
-    """Whether the remote edges, (owner, target) pairs of unit indices,
-    close a cycle with the primary tree, in which unit i's subtree holds
-    the units of pre-order ranks rank[i] to end[i].
+def _remote_cycle(remotes, units) -> bool:
+    """Whether the remote edges, (owner, target) pairs of pre-order ids,
+    close a cycle with the primary tree of `units`, the rows `_assemble`
+    takes.  A target's subtree ends at the end of the spine of last primary
+    children below it, which all its units share: each is walked once.
 
     Primary edges only lead down, so a cycle leaves each owner on it by a
     remote edge, goes down from the target to the next owner, and so on
@@ -471,10 +463,21 @@ def _remote_cycle(remotes, rank, end) -> bool:
     remote edges: each range yields its first owner not yet shown to lie
     on no cycle, and a range left with none is dropped.
     """
+    end: dict[int, int] = {}
     ranges: dict[int, list[tuple[int, int]]] = {}
     for p, c in remotes:
-        ranges.setdefault(rank[p], []).append((rank[c], end[c]))
-    alive = sorted(ranges)  # owners, by rank, not yet shown to lie on no cycle
+        spine, i = [], c
+        while i not in end:
+            spine.append(i)
+            for e in reversed(units[i][3]):
+                if not e.remote:
+                    i = int(e.child)
+                    break
+            else:
+                end[i] = i
+        end.update(dict.fromkeys(spine, end[i]))
+        ranges.setdefault(p, []).append((c, end[c]))
+    alive = sorted(ranges)  # owners, by id, not yet shown to lie on no cycle
     while alive:
         path = [alive[0]]
         on_path = {alive[0]}

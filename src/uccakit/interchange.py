@@ -78,10 +78,9 @@ _LABEL_ARRAYS = _LabelArrays()
 
 
 def _positions(tokens: frozenset[int]) -> str:
-    """A unit's token positions, laid out as `_array` would."""
-    if not tokens:
+    if not tokens:  # every internal and implicit unit: skip the call
         return "[]"
-    return "[\n        " + ",\n        ".join(map(str, sorted(tokens))) + "\n      ]"
+    return _array([*map(str, sorted(tokens))], "      ")
 
 
 def _by_child(outgoing: tuple[Edge, ...]) -> tuple[Edge, ...] | list[Edge]:

@@ -541,14 +541,6 @@ def parse_passage(
     extents = _extents(units)
     if not remote_requests:
         return _assemble(passage_id, tuple(stream), units, extents)
-    # Each unit's subtree ends where its last child's does; so far the
-    # outgoing lists hold primary edges only.
-    rank = range(len(units))
-    end = list(rank)
-    for i in reversed(rank):
-        if units[i][3]:
-            end[i] = end[int(units[i][3][-1].child)]
-
     remote_requests.sort(key=lambda request: request[1].start)
     texts = [t.text for t in word_toks]
     readers = _reader_index(texts, extents, {len(paren.words) for _, paren in remote_requests})
@@ -592,13 +584,13 @@ def parse_passage(
         remotes[owner.uid, target] = edge, paren
 
     pairs = [(int(owner), int(target)) for owner, target in remotes]
-    if not _remote_cycle(pairs, rank, end):
+    if not _remote_cycle(pairs, units):
         return _assemble(passage_id, tuple(stream), units, extents)
     # Blame the first group, in source order, whose edge closes a cycle with
-    # the primary edges and the groups before it.
-    for k, (_, paren) in enumerate(remotes.values(), 1):
-        if _remote_cycle(pairs[:k], rank, end):
-            break
+    # the primary edges and the groups before it: more groups keep a cycle,
+    # so the first prefix with one is found by bisection.
+    cyclic = bisect_left(range(len(pairs)), True, key=lambda k: _remote_cycle(pairs[:k + 1], units))
+    paren = [*remotes.values()][cyclic][1]
     raise ParseError(
         f"the remote group reading {' '.join(paren.words)!r} closes a cycle of edges",
         position=paren.start,

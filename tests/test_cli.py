@@ -887,6 +887,23 @@ class TestOperatingSystemBoundary:
         assert (code, out) == (2, "")
         assert err == f"{shown}: [Errno 2] No such file or directory: '{shown}'\n"
 
+    def test_control_characters_in_a_name_keep_stdout_rows_whole(self, capsys, tmp_path):
+        # A parse summary names its input and its outputs, and a text row of
+        # validate names its input: each stays one line, the name escaped.
+        name, shown = "a\nb\tc\x1bd\u2028e", "a\\nb\\tc\\x1bd\\u2028e"
+        out_dir = str(tmp_path / "out")
+        commands = [(MULTI, ["parse", "--out-dir", out_dir], 0), (R1_MUTANT, ["validate"], 1)]
+        for fixture, command, status in commands:
+            outs = []
+            for stem in (name, "plain"):
+                source = tmp_path / f"{stem}.txt"
+                source.write_bytes(fixture.read_bytes())
+                code, out, err = run(capsys, *command, "--", str(source))
+                assert (code, err) == (status, "")
+                outs.append(out)
+            assert outs[0].count("\n") == outs[1].count("\n") > 0
+            assert outs[0] == outs[1].replace("plain", shown)
+
     def test_warning_naming_a_file_is_one_line(self, capsys, tmp_path):
         source = tmp_path / "a\nb.txt"
         source.write_bytes(AMBIGUOUS.read_bytes())
@@ -896,3 +913,96 @@ class TestOperatingSystemBoundary:
         assert code == 0
         assert err.count("\n") == 1
         assert err.startswith(f"{tmp_path}{os.sep}a\\nb.txt: warning: ")
+
+
+# The decoder's depth limit at the top of a fresh interpreter.  A command
+# runs deeper in the stack, so its own limit is at most this.
+_DECODER_LIMIT = """
+import json
+lo, hi = 1, 1 << 20
+while lo < hi:
+    mid = (lo + hi + 1) // 2
+    try:
+        json.loads("[" * mid + "]" * mid)
+        lo = mid
+    except RecursionError:
+        hi = mid - 1
+print(lo)
+"""
+
+
+def reading(path):
+    """Each command that reads input, run on `path` alone."""
+    out_dir = os.path.join(os.path.dirname(path), "out")
+    return [["parse", "--out-dir", out_dir, path], ["validate", path], ["convert", path],
+            ["score", path, path], ["stats", path]]
+
+
+class TestDeepInput:
+    """Input nested past the interpreter's recursion limit ends, through
+    `python -m uccakit` and for every command that reads it, in a result or
+    in exit 2 with empty stdout and one stderr line: no command relies on
+    catching `RecursionError`."""
+
+    def fails(self, argv):
+        code, out, err = run_process(argv)
+        assert (code, out) == (2, b""), err
+        assert err.count(b"\n") == 1 and b"Traceback" not in err, err
+        return err
+
+    def test_unclosed_groups(self, tmp_path):
+        path = tmp_path / "deep.txt"
+        path.write_text("[H " * 200_000 + "x\n", encoding="utf-8")
+        for argv in reading(str(path)):
+            assert b"bracket opened here is never closed" in self.fails(argv)
+
+    def test_nested_arrays(self, tmp_path):
+        path = tmp_path / "deep.ucca.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        for argv in reading(str(path)):
+            assert self.fails(argv).endswith(b": not valid JSON: nested too deeply\n")
+
+    def test_json_around_the_decoder_limit(self, tmp_path):
+        # A lone-surrogate escape makes the loader encode the decoded
+        # document again, as deep as the decoder went.  Each command's
+        # limit is found by bisection; the deepest document it decodes, one
+        # level less and one level more all fail cleanly.
+        child = subprocess.run([sys.executable, "-c", _DECODER_LIMIT], capture_output=True)
+        top = int(child.stdout)
+        for k in range(5):
+            seen = {}
+
+            def message(depth):
+                if depth not in seen:
+                    path = tmp_path / f"{k}-{depth}.ucca.json"
+                    nested = "[" * depth + "]" * depth
+                    path.write_text(f'{{"id": "\\ud800", "units": {nested}}}', encoding="utf-8")
+                    seen[depth] = self.fails(reading(str(path))[k])
+                return seen[depth]
+
+            lo, hi = top - 128, top + 1  # lo decodes, hi does not
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if b"lone surrogate" in message(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            assert b"lone surrogate" in message(lo - 1) and b"lone surrogate" in message(lo)
+            assert message(hi).endswith(b": not valid JSON: nested too deeply\n")
+
+    def test_thousand_level_chain(self, tmp_path):
+        source = tmp_path / "chain.txt"
+        source.write_text("[H [P ran] " + "[A " * 1000 + "x" + " ]" * 1001 + "\n", encoding="utf-8")
+        document = str(tmp_path / "out" / "chain.ucca.json")
+        runs = [
+            ["parse", "--out-dir", str(tmp_path / "out"), str(source)],
+            ["validate", str(source), document],
+            ["convert", document, "--to", "text", "--label-side", "left"],
+            ["convert", document, "--to", "text", "--label-side", "right"],
+            ["score", str(source), document],
+            ["stats", str(source), document],
+        ]
+        for argv in runs:
+            code, out, err = run_process(argv)
+            assert code in (0, 1), err
+            assert b"Traceback" not in err

@@ -251,6 +251,70 @@ def test_remote_chain_without_cycle_builds(monkeypatch, pairs):
         assert sum(e.remote for e in p.edges()) == 2
 
 
+def _no_search(*args):
+    raise AssertionError("the cycle search ran on an acyclic passage")
+
+
+@pytest.mark.parametrize(
+    "units, message",
+    [(_TWO_SCENES[1:] + _TWO_SCENES[:1], "remote edges create a cycle through unit 'a'"),
+     (_TWO_SCENES[::-1], "remote edges create a cycle through unit 'u'")],
+    ids=["root-last", "reversed"],
+)
+def test_off_order_tables_decide_cycles_in_preorder_ids(monkeypatch, units, message):
+    # Each table lists its units off pre-order, so a remote edge's unit
+    # indices name other units than its pre-order ids do: only the renamed
+    # pairs find the cycle of two remote edges and none in the chains.
+    tokens = toks("a b c d")
+    assert_remote_cycle(tokens, units, _TWO_SCENE_EDGES + remotes(("s", "b"), ("u", "a")), message)
+    monkeypatch.setattr(uccakit.core, "_check_dag", _no_search)
+    for pairs in [(("u", "a"),), (("s", "b"), ("u", "t1")), (("v", "b"), ("u", "s")), (("b", "s"),)]:
+        edges = _TWO_SCENE_EDGES + remotes(*pairs)
+        for p in (build_passage(tokens, units, edges),
+                  from_interchange(as_document(tokens, units, edges))):
+            assert sum(e.remote for e in p.edges()) == len(pairs)
+
+
+def test_last_edge_remote_past_the_subtree(monkeypatch):
+    # v's last edge is remote, to u after v's subtree, and b, between the
+    # two, reaches v remotely: v's subtree ends at t2, before b, whatever
+    # its remote edge reaches, so no cycle closes.
+    tokens, edges = toks("a b c d"), _TWO_SCENE_EDGES + remotes(("v", "u"), ("b", "v"))
+    assert [e.child for e in edges if e.parent == "v"] == ["t2", "u"]
+    monkeypatch.setattr(uccakit.core, "_check_dag", _no_search)
+    document = as_document(tokens, _TWO_SCENES, edges)
+    for p in (build_passage(tokens, _TWO_SCENES, edges), from_interchange(document),
+              parse_passage(render(from_interchange(document)))):
+        assert sum(e.remote for e in p.edges()) == 2
+
+
+def test_subtree_ends_step_over_each_unit_once(monkeypatch):
+    # One unit reaches every unit of a 200-level chain remotely, the top one
+    # first: the search reads each chain unit's row at most once.
+    depth = 200
+    units = [UnitSpec("r", "internal"), UnitSpec("x", "internal"), UnitSpec("tx", "terminal", (0,))]
+    units += [UnitSpec(f"c{i}", "internal") for i in range(depth)]
+    units.append(UnitSpec("tc", "terminal", (1,)))
+    edges = [EdgeSpec("r", "x", "H"), EdgeSpec("x", "tx", "P"), EdgeSpec("r", "c0", "H")]
+    edges += [EdgeSpec(f"c{i}", f"c{i + 1}", "A") for i in range(depth - 1)]
+    edges += [EdgeSpec(f"c{depth - 1}", "tc", "P")]
+    edges += remotes(*[("x", f"c{i}") for i in range(depth)])
+    reads = []
+
+    class Rows(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return super().__getitem__(i)
+
+    search = uccakit.core._remote_cycle
+    monkeypatch.setattr(uccakit.core, "_remote_cycle", lambda pairs, rows: search(pairs, Rows(rows)))
+    for build in (lambda: build_passage(toks("a b"), units, edges),
+                  lambda: from_interchange(as_document(toks("a b"), units, edges))):
+        reads.clear()
+        assert sum(e.remote for e in build().edges()) == depth
+        assert len(reads) == len(set(reads)) == depth + 1
+
+
 def test_remote_needs_primary_parent_elsewhere():
     tokens = toks("a")
     units = [UnitSpec("r", "internal"), UnitSpec("t", "terminal", (0,))]

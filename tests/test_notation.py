@@ -506,7 +506,8 @@ PAUSED = {
     ),
     "render": (render, passage_args(), "notation", "_fragments", 1),
     "render-right": (render, passage_args("right"), "notation", "_fragments", 1),
-    "to_interchange": (to_interchange, passage_args(), "interchange", "_array", 3),
+    # The edges, tokens and units arrays, and the positions of 5 terminals.
+    "to_interchange": (to_interchange, passage_args(), "interchange", "_array", 8),
     "isomorphic": (isomorphic, pair_args, "core", "_shape_class", 2),
     "score": (score, pair_args, "scoring", "_edge_keys", 2),
     "signatures": (signatures, passage_args(), "scoring", "_edge_keys", 1),

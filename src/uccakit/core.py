@@ -206,21 +206,6 @@ def id_key(unit_id: str):
     return (len(unit_id), unit_id)
 
 
-# The writer's ids "0", "1", ... as one list for every build to read, as
-# long as the longest passage built so far or longer.  A longer passage
-# rebinds it to a longer list, so it is never changed in place.
-_NUMERALS: list[str] = []
-
-
-def _numerals(n: int) -> list[str]:
-    """The ids "0"..."n-1"."""
-    global _NUMERALS
-    numerals = _NUMERALS
-    if len(numerals) < n:
-        _NUMERALS = numerals = list(map(str, range(max(n, 2 * len(numerals)))))
-    return numerals[:n]
-
-
 def _gc_paused(func):
     """Run `func` with the cyclic garbage collector paused.  Only for calls
     that make no reference cycle on any exit, so that reference counting
@@ -344,7 +329,8 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
         unsorted |= key < last
         last = key
         outgoing[p].append(Edge(parent, child, categories, remote))
-    numbered = ids == _numerals(n)
+    numerals = list(map(str, range(n)))  # the writer's ids
+    numbered = ids == numerals
     if writer_order and (unsorted or not numbered):
         return None
     if bad_remote:
@@ -425,7 +411,7 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
             missing = sorted(set(ids) - {ids[i] for i in order})
             raise PrimaryCycle(f"units {missing!r} are not reachable from the root")
     if not (numbered and in_preorder):
-        rename = dict(zip([ids[i] for i in order], _numerals(n)))
+        rename = dict(zip([ids[i] for i in order], numerals))
         rows = [(rename[ids[i]], units[i][1], units[i][2],
                  [Edge(rename[e.parent], rename[e.child], e.categories, e.remote)
                   for e in outgoing[i]]) for i in order]

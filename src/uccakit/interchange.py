@@ -124,19 +124,15 @@ def to_interchange(passage: Passage) -> bytes:
     return text.encode("utf-8")
 
 
-def _fail(message: str) -> None:
-    raise MalformedDocument(message)
-
-
 def _field(obj: dict, key: str, kind: type, what: str, index: int | None = None):
     """obj[key], checked to be of `kind`.  The failure message names the
     record as `what` or `what index`."""
     where = what if index is None else f"{what} {index}"
     if key not in obj:
-        _fail(f"{where} is missing {key!r}")
+        raise MalformedDocument(f"{where} is missing {key!r}")
     value = obj[key]
     if not isinstance(value, kind):
-        _fail(f"{where}: {key!r} must be {kind.__name__}")
+        raise MalformedDocument(f"{where}: {key!r} must be {kind.__name__}")
     return value
 
 
@@ -153,28 +149,28 @@ def from_interchange(data: bytes | str) -> Passage:
         try:
             source = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            _fail(f"not valid UTF-8: {exc}")
+            raise MalformedDocument(f"not valid UTF-8: {exc}")
     else:
         source = data
     try:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
-        _fail(f"not valid JSON: {exc}")
+        raise MalformedDocument(f"not valid JSON: {exc}")
     except RecursionError:
-        _fail("not valid JSON: nested too deeply")
+        raise MalformedDocument("not valid JSON: nested too deeply")
     # A lone surrogate, raw in a str or decoded from a \uXXXX escape, fits
     # no UTF-8 output.  Canonical documents are raw UTF-8 and skip this.
     if source is data or "\\ud" in source or "\\uD" in source:
         try:
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:
-            _fail("not valid Unicode: a string holds a lone surrogate")
+            raise MalformedDocument("not valid Unicode: a string holds a lone surrogate")
     if not isinstance(doc, dict):
-        _fail("document must be a JSON object")
+        raise MalformedDocument("document must be a JSON object")
 
     version = doc.get("format_version")
     if not isinstance(version, str):
-        _fail("document is missing a format_version string")
+        raise MalformedDocument("document is missing a format_version string")
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(
             f"format_version {version!r} is not supported; this reader handles {FORMAT_VERSION!r}"
@@ -182,7 +178,7 @@ def from_interchange(data: bytes | str) -> Passage:
 
     passage_id = doc.get("id", "passage")
     if not isinstance(passage_id, str):
-        _fail("'id' must be a string")
+        raise MalformedDocument("'id' must be a string")
 
     # Decoded JSON holds exact types, so `type(x) is str` is the isinstance
     # test; `_field` is called only to raise its message.
@@ -190,46 +186,46 @@ def from_interchange(data: bytes | str) -> Passage:
     tokens = []
     for i, entry in enumerate(raw_tokens):
         if type(entry) is not dict:
-            _fail(f"token {i} must be an object")
+            raise MalformedDocument(f"token {i} must be an object")
         text, is_punct = entry.get("text"), entry.get("is_punct", False)
         if type(text) is not str:
             _field(entry, "text", str, "token", i)
         if type(is_punct) is not bool:
-            _fail(f"token {i}: 'is_punct' must be a boolean")
+            raise MalformedDocument(f"token {i}: 'is_punct' must be a boolean")
         tokens.append(Token(text, i, is_punct))
 
     raw_units = _field(doc, "units", list, "document")
     units = []
     for i, entry in enumerate(raw_units):
         if type(entry) is not dict:
-            _fail(f"unit {i} must be an object")
+            raise MalformedDocument(f"unit {i} must be an object")
         uid, kind = entry.get("id"), entry.get("kind")
         if type(uid) is not str or kind not in (TERMINAL, INTERNAL, IMPLICIT):
             _field(entry, "id", str, "unit", i)
             _field(entry, "kind", str, "unit", i)
-            _fail(f"unit {uid!r} has unknown kind {kind!r}")
+            raise MalformedDocument(f"unit {uid!r} has unknown kind {kind!r}")
         positions = entry.get("tokens", [])
         # The exact type test excludes bools too.
         if type(positions) is not list or positions and not all(type(p) is int for p in positions):
-            _fail(f"unit {uid!r}: 'tokens' must be a list of integers")
+            raise MalformedDocument(f"unit {uid!r}: 'tokens' must be a list of integers")
         units.append((uid, kind, positions))
 
     raw_edges = _field(doc, "edges", list, "document")
     edges = []
     for i, entry in enumerate(raw_edges):
         if type(entry) is not dict:
-            _fail(f"edge {i} must be an object")
+            raise MalformedDocument(f"edge {i} must be an object")
         parent, child, labels = entry.get("parent"), entry.get("child"), entry.get("categories")
         if type(parent) is not str or type(child) is not str or type(labels) is not list:
             for key, kind in (("parent", str), ("child", str), ("categories", list)):
                 _field(entry, key, kind, "edge", i)
         remote = entry.get("remote", False)
         if type(remote) is not bool:
-            _fail(f"edge {i}: 'remote' must be a boolean")
+            raise MalformedDocument(f"edge {i}: 'remote' must be a boolean")
         try:
             categories = canonical_set(labels)
         except InvalidCategory as exc:
-            _fail(f"edge {i}: {exc}")
+            raise MalformedDocument(f"edge {i}: {exc}")
         edges.append((parent, child, categories, remote))
     tokens = tuple(tokens)
     # Children come in id order.  Edges out of the writer's order are sorted

@@ -138,6 +138,7 @@ class NotationToken:
     end: int
 
 
+@_gc_paused
 def lex(source: str) -> list[NotationToken]:
     """Split source into bracket, paren, label and word tokens.
 

@@ -1,0 +1,171 @@
+"""Source mutants that the tests must kill.
+
+Each entry of MUTANTS is one small change to a module of src/uccakit: an
+exact snippet, which must occur there exactly once, and its replacement,
+with the tests expected to fail under it.  For each entry the runner copies
+src/ to a temporary directory, applies the change there and runs the named
+tests against the copy, with hypothesis seeded.  It prints one line per
+entry, "killed", "survived" or "snippet not found" (the code has moved: cut
+the entry again, do not drop it), and exits non-zero unless every entry is
+killed.  Before the mutants, the named tests must pass on an unchanged copy.
+
+    python tests/mutants.py [NAME ...]
+
+The tests are run from this checkout with the temporary directory as the
+working directory, without pytest's cache and without writing bytecode, so
+that hypothesis's example database and every other file a run writes stay
+out of the checkout.  Only the standard library is used besides pytest; the
+name keeps pytest from collecting this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/uccakit
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the checkout
+
+
+EXEMPTION = "tests/test_validation.py::TestMutants::test_exemption"
+
+MUTANTS = [
+    # Each validator rule's exemption.
+    Mutant("r3-unanalyzable-not-exempt", "validation.py",
+           "uid in self.scenes or uid in self.una:", "uid in self.scenes:",
+           (f"{EXEMPTION}[R3-unanalyzable]",)),
+    Mutant("r4-root-not-exempt", "validation.py",
+           '"H" not in present and uid != self.root:', '"H" not in present:',
+           (f"{EXEMPTION}[R4-top-level]",)),
+    Mutant("r5-root-not-exempt", "validation.py",
+           "{e.parent for e in remotes} - {self.root}", "{e.parent for e in remotes}",
+           (f"{EXEMPTION}[R5-root]",)),
+    Mutant("r7-center-coordination-not-exempt", "validation.py",
+           'categories.labels:\n                continue\n',
+           'categories.labels:\n                pass\n',
+           (f"{EXEMPTION}[R7-center-coordination]",)),
+    Mutant("r8-state-not-exempt", "validation.py",
+           '"P" not in ls and "S" not in ls:', '"P" not in ls:',
+           (f"{EXEMPTION}[R8-state]",)),
+    Mutant("r12-zero-width-target", "validation.py",
+           "target.kind == INTERNAL and width and any(", "target.kind == INTERNAL and any(",
+           ("tests/test_validation.py::TestMutants::test_r12_remote_to_unit_of_no_tokens",)),
+    Mutant("w2-una-not-exempt", "validation.py",
+           'label in ("F", "UNA")', 'label in ("F",)',
+           (f"{EXEMPTION}[W2-function-and-una]",)),
+    # The checker's ids, made per call.
+    Mutant("numerals-kept-between-builds", "core.py",
+           "numerals = list(map(str, range(n)))",
+           "numerals = _build.__dict__.setdefault(n, list(map(str, range(n))))",
+           ("tests/test_interchange.py::test_loading_retains_nothing",)),
+    Mutant("lex-unpaused", "notation.py",
+           "@_gc_paused\ndef lex(", "def lex(",
+           ("tests/test_notation.py::TestCollectorPause",)),
+    Mutant("json-error-context-dropped", "interchange.py",
+           'raise MalformedDocument(f"not valid JSON: {exc}")',
+           'raise MalformedDocument(f"not valid JSON: {exc}") from None',
+           ("tests/test_interchange.py::TestReaderMessages::test_error_keeps_its_context",)),
+    # The checker's fault order and cycle search.
+    Mutant("duplicate-remote-raised-before-dangling-edges", "core.py",
+           'bad_remote = f"duplicate remote edge {parent!r} -> {child!r}"',
+           'raise InvalidRemote(f"duplicate remote edge {parent!r} -> {child!r}")',
+           ("tests/test_core.py::test_first_fault_in_check_order",)),
+    Mutant("remote-pairs-left-in-input-indices", "core.py",
+           "remotes = [(int(rename[ids[p]]), int(rename[ids[c]])) for p, c in remotes]",
+           "remotes = list(remotes)",
+           ("tests/test_core.py::test_off_order_tables_decide_cycles_in_preorder_ids",)),
+    Mutant("remote-range-end-exclusive", "core.py",
+           "alive[j] <= hi:", "alive[j] < hi:",
+           ("tests/test_core.py::test_remote_cycle_through_primary_edges",)),
+    Mutant("subtree-end-one-late", "core.py",
+           "end[i] = i\n", "end[i] = i + 1\n",
+           ("tests/test_core.py::test_last_edge_remote_past_the_subtree",)),
+    Mutant("json-nesting-uncaught", "interchange.py",
+           '    except RecursionError:\n'
+           '        raise MalformedDocument("not valid JSON: nested too deeply")\n',
+           "",
+           ("tests/test_interchange.py::TestRejects::test_too_deeply_nested_json",)),
+    # Readers.
+    Mutant("render-unpaused", "notation.py",
+           "@_gc_paused\ndef render(", "def render(",
+           ("tests/test_notation.py::TestCollectorPause",)),
+    Mutant("render-ambiguity-before-empty-text", "notation.py",
+           "                if not text:\n",
+           "                if len(_minimal_readers(readers, text, uid, parent)) > 1:\n"
+           "                    raise RenderError('ambiguous')\n"
+           "                if not text:\n",
+           ("tests/test_notation.py::TestRender::test_first_fault_wins",)),
+    Mutant("score-labeled-match-is-gold-count", "scoring.py",
+           "tally[key[1:]][0] += g if g < p else p", "tally[key[1:]][0] += g",
+           ("tests/test_scoring.py::test_greedy_counts_equal_optimal_matching",)),
+]
+
+
+def run_tests(tests, src: Path, work: Path) -> subprocess.CompletedProcess:
+    """Run `tests` from this checkout against the package in `src`."""
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *[f"{ROOT}/{test}" for test in tests]],
+        cwd=work,
+        env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True,
+        text=True,
+    )
+
+
+def outcome(mutant: Mutant, work: Path) -> str:
+    src = work / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "uccakit" / mutant.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.snippet) != 1:
+        return "snippet not found"
+    path.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+    done = run_tests(mutant.tests, src, work)
+    if done.returncode not in (0, 1):  # not a plain pass or fail: show why
+        return f"error (pytest exit {done.returncode})\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
+    return "killed" if done.returncode else "survived"
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {' '.join(sorted(unknown))}")
+        return 2
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        tests = list(dict.fromkeys(test for m in chosen for test in m.tests))
+        done = run_tests(tests, work / "src", work)
+        if done.returncode:
+            print(f"the named tests fail without a mutant:\n{done.stdout[-2000:]}{done.stderr}")
+            return 2
+        survivors = 0
+        for mutant in chosen:
+            began = time.perf_counter()
+            result = outcome(mutant, work)
+            survivors += result != "killed"
+            print(f"{mutant.name:<48} {result}  ({time.perf_counter() - began:.1f} s)", flush=True)
+    print(f"{len(chosen) - survivors} of {len(chosen)} killed"
+          f" in {time.perf_counter() - started:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

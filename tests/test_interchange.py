@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
+import uccakit
 from uccakit import (
     FILE_EXTENSION,
     FORMAT_VERSION,
     EdgeSpec,
+    InvalidCategory,
     InvalidUnit,
     MalformedDocument,
     Token,
@@ -460,6 +466,24 @@ class TestReaderMessages:
             from_interchange(data)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "data, context",
+        [
+            (b"\xff\xfe{}", UnicodeDecodeError),
+            (b"{nope", json.JSONDecodeError),
+            ("[" * 100_000 + "]" * 100_000, RecursionError),
+            (with_field("tokens", 1, "text", 7), type(None)),
+            (with_field("edges", 1, "categories", ["A", "ZZ"]), InvalidCategory),
+        ],
+        ids=["utf-8", "json", "nested", "field-type", "label"],
+    )
+    def test_error_keeps_its_context(self, data, context):
+        # The decoder's error stays attached as the context, not as a cause.
+        with pytest.raises(MalformedDocument) as info:
+            from_interchange(data)
+        assert type(info.value.__context__) is context
+        assert (info.value.__cause__, info.value.__suppress_context__) == (None, False)
+
     def test_optional_fields_default(self):
         doc = json.loads(EXPECTED_SMALL)
         del doc["tokens"][0]["is_punct"]
@@ -527,3 +551,35 @@ class TestLoneSurrogates:
     def test_escaped_backslash_is_plain_text(self):
         data = EXPECTED_SMALL.replace('"apple"', '"\\\\ud800"').encode("utf-8")
         assert from_interchange(data).tokens[0].text == "\\ud800"
+
+
+# Loads a document of 7,000 scenes (21,001 units) after a one-scene
+# document has filled the first-use caches, drops it, and prints how many
+# bytes the load left allocated.
+_RETAINED = """
+import gc, tracemalloc
+from uccakit import from_interchange, parse_passage, to_interchange
+data = to_interchange(parse_passage("[H [A w] [P w]] " * 7000))
+from_interchange(to_interchange(parse_passage("[H [A w] [P w]]")))
+gc.collect()
+tracemalloc.start()
+passage = from_interchange(data)
+assert len(passage.units) == 21001
+del passage
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_loading_retains_nothing():
+    # In a fresh interpreter, so that no earlier load has filled anything,
+    # on the package this process imported.
+    child = subprocess.run(
+        [sys.executable, "-c", _RETAINED],
+        env=dict(os.environ, PYTHONPATH=str(Path(uccakit.__file__).parents[1])),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert int(child.stdout) < 64 * 1024

@@ -380,6 +380,11 @@ class TestNoReferenceCycles:
         assert outcome(from_interchange, data) is Passage
         assert gc.collect() == 0
 
+    def test_lexing_a_source(self):
+        gc.collect()  # what the test runner left
+        assert outcome(lex, CYCLE_FREE_SOURCE) is list
+        assert gc.collect() == 0
+
     def test_building_from_spec_tables(self):
         tables = spec_tables(parse_passage(CYCLE_FREE_SOURCE))
         gc.collect()  # what the test runner left
@@ -393,12 +398,14 @@ class TestNoReferenceCycles:
             (parse_passage, "[H [Z x]]", UnknownCategoryLabel),
             (parse_passage, "[H [A John] [P slept]", UnbalancedBrackets),
             (parse_passage, "[H [P [C a] [E b] (c d A)] [S [C c] [E d] (a b A)]]", ParseError),
+            (lex, "[A a\ud800b]", ParseError),
             (from_interchange, b"{nope", MalformedDocument),
             (from_interchange, b"\xff", MalformedDocument),
             (from_interchange, b'{"format_version": "1", "tokens": [1]}', MalformedDocument),
             (from_interchange, remote_cycle_document(), RemoteCycle),
         ],
-        ids=["parse", "unbalanced", "remote-cycle-blame", "json", "utf-8", "schema", "build"],
+        ids=["parse", "unbalanced", "remote-cycle-blame", "lex-surrogate", "json", "utf-8",
+             "schema", "build"],
     )
     def test_error_exits(self, func, arg, error):
         gc.collect()  # what the test runner left
@@ -489,6 +496,7 @@ def pair_args():
 # (function, arguments, the module and name of a function it calls inside
 # the pause, and how many times it calls it)
 PAUSED = {
+    "lex": (lex, lambda: (CYCLE_FREE_SOURCE,), "notation", "accumulate", 1),
     "parse_passage": (parse_passage, lambda: (CYCLE_FREE_SOURCE,), "notation", "lex", 1),
     "from_interchange": (
         from_interchange,

@@ -80,6 +80,23 @@ MUTANTS = [
 
 MUTANT_SOURCES = {rule: source for rule, source, _, _ in MUTANTS}
 
+# Each source sits in an exemption of one rule, named first, and gives
+# exactly the diagnostics listed, as (rule, severity, unit, message).
+EXEMPTIONS = [
+    # R3 spares an unanalyzable unit; R9 reports its structure instead.
+    ("R3-unanalyzable", "[H [P saw] [A [E big] [E red] UNA]]",
+     [("R9", "error", "3", "unanalyzable unit has children: 'big red'")]),
+    ("R4-top-level", "[L and]", []),
+    # R5 spares the root as the parent of a remote edge; R1 does not.
+    ("R5-root", "[H [A John] [P ran]] (John A)",
+     [("R1", "error", "2", "top-level unit carries A: 'John'")]),
+    ("R7-center-coordination", "[H [P ran] [A [C [D very] [C fast]]]]", []),
+    ("R8-state", "[H [A John] [CMR+S tall]]", []),
+    ("W2-function-and-una", "[H [A John] [P ran]] [H [P slept] (John F+UNA)]",
+     [("R5", "error", "2", "function word attached as remote: 'John'"),
+      ("W2", "warning", "2", "added edge carries only F+UNA: 'John'")]),
+]
+
 
 def minimal_wrapper_passage():
     """A remote pointing at a wrapper unit whose only child covers the
@@ -112,6 +129,36 @@ def minimal_wrapper_passage():
     )
 
 
+def implicit_target_passage():
+    """A remote pointing at an internal unit whose only child is implicit,
+    so that target and child both cover no token."""
+    return build_passage(
+        [Token("John", 0), Token("left", 1), Token("Mary", 2), Token("cried", 3)],
+        [
+            UnitSpec("root", "internal"),
+            UnitSpec("h1", "internal"),
+            UnitSpec("john", "terminal", (0,)),
+            UnitSpec("left", "terminal", (1,)),
+            UnitSpec("x", "internal"),
+            UnitSpec("imp", "implicit"),
+            UnitSpec("h2", "internal"),
+            UnitSpec("mary", "terminal", (2,)),
+            UnitSpec("cried", "terminal", (3,)),
+        ],
+        [
+            EdgeSpec("root", "h1", "H"),
+            EdgeSpec("h1", "john", "A"),
+            EdgeSpec("h1", "left", "P"),
+            EdgeSpec("h1", "x", "A"),
+            EdgeSpec("x", "imp", "C"),
+            EdgeSpec("root", "h2", "H"),
+            EdgeSpec("h2", "mary", "A"),
+            EdgeSpec("h2", "cried", "P"),
+            EdgeSpec("h2", "x", "A", remote=True),
+        ],
+    )
+
+
 class TestMutants:
     @pytest.mark.parametrize(
         "rule,source,severity,unit", MUTANTS, ids=[m[0] for m in MUTANTS]
@@ -123,6 +170,17 @@ class TestMutants:
     def test_r12_remote_to_wrapper(self):
         diags = validate(minimal_wrapper_passage())
         assert diag_triples(diags) == [("R12", "warning", "7")]
+
+    @pytest.mark.parametrize(
+        "source,expected", [e[1:] for e in EXEMPTIONS], ids=[e[0] for e in EXEMPTIONS]
+    )
+    def test_exemption(self, source, expected):
+        diags = validate(parse_passage(source))
+        assert [(d.rule, d.severity, d.unit, d.message) for d in diags] == expected
+
+    def test_r12_remote_to_unit_of_no_tokens(self):
+        # A zero-width target is not a wrapper, though its child is as wide.
+        assert validate(implicit_target_passage()) == []
 
     def test_r6_all_children_remote(self):
         source = "[H [A John] [P slept] ] [H [P waved] [A (John A)] ]"

@@ -63,10 +63,10 @@ def value_type(cls):
     Objects of one class are equal when their field tuples are, the hash
     is that tuple's, repr names each field, `__match_args__` holds the
     field names, and pickle and copy call the class with the field values.
-    Setting or deleting any attribute raises `FrozenInstanceError`.  Unless
-    `cls` defines its own, `__init__` stores each field through its slot's
-    member descriptor, half the time of `object.__setattr__`; class
-    attributes named like fields are the defaults.  This module, which
+    Setting or deleting any attribute raises `FrozenInstanceError`.  Methods
+    that `cls` defines replace these; a generated `__init__` sets each slot
+    through its member descriptor, half the time of `object.__setattr__`,
+    with class attributes named like fields as defaults.  This module, which
     every other imports first, holds it so that it can build `CategorySet`.
     """
     names = tuple(cls.__annotations__)
@@ -88,10 +88,10 @@ def value_type(cls):
     )
     # Methods that `cls` defines itself replace the generated ones.
     body = {m: namespace[m] for m in ("__init__", "__eq__", "__hash__", "__repr__", "__reduce__")}
+    body.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
     skip = (*names, "__dict__", "__weakref__")
     body.update((k, v) for k, v in cls.__dict__.items() if k not in skip)
-    body.update(__slots__=names, __match_args__=names,
-                __setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+    body.update(__slots__=names, __match_args__=names)
     new = type(cls)(cls.__name__, cls.__bases__, body)
     new.__qualname__ = cls.__qualname__
     # The generated `__init__` looks its slot setters up here when it runs.

@@ -591,21 +591,27 @@ def is_scene_unit(passage: Passage, unit_id: str) -> bool:
     return main_relations(unit) > 0
 
 
+@value_type
 class CategoryCounts:
     """Aggregatable passage statistics.
 
     `categories` counts edges per category label; an edge with a combined
     category contributes once to each member label.  Addition merges
-    counts, so per-file statistics sum to corpus statistics.  Equality and
-    repr go by the fields, in `__match_args__` order; the counts are
-    mutable and so unhashable.
+    counts, so per-file statistics sum to corpus statistics.  Unlike every
+    other record, the counts are mutable, and so unhashable.
     """
 
-    __slots__ = __match_args__ = (
-        "categories", "edges", "scene_units", "remote_edges", "implicit_units", "una_units",
-        "tokens",
-    )
+    categories: dict[str, int]
+    edges: int
+    scene_units: int
+    remote_edges: int
+    implicit_units: int
+    una_units: int
+    tokens: int
+
     __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
     def __init__(self, categories: dict[str, int] | None = None, edges: int = 0,
                  scene_units: int = 0, remote_edges: int = 0, implicit_units: int = 0,
@@ -614,30 +620,17 @@ class CategoryCounts:
         self.edges, self.scene_units, self.remote_edges = edges, scene_units, remote_edges
         self.implicit_units, self.una_units, self.tokens = implicit_units, una_units, tokens
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{n}={value!r}" for n, value in zip(self.__slots__, self._values()))
-        return f"{self.__class__.__qualname__}({shown})"
-
-    def __reduce__(self):
-        return self.__class__, self._values()
-
     def __add__(self, other: "CategoryCounts") -> "CategoryCounts":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         merged = Counter(self.categories)
         merged.update(other.categories)
         # Every field after `categories` is a plain counter.
-        counters = [a + b for a, b in zip(self._values()[1:], other._values()[1:])]
+        counters = [getattr(self, n) + getattr(other, n) for n in self.__match_args__[1:]]
         return CategoryCounts(dict(merged), *counters)
 
     def to_dict(self) -> dict:
-        out = dict(zip(self.__slots__, self._values()))
+        out = {n: getattr(self, n) for n in self.__match_args__}
         out["categories"] = dict(sorted(self.categories.items()))
         return out
 
@@ -648,10 +641,10 @@ def stats(passage: Passage) -> CategoryCounts:
     counts = CategoryCounts(tokens=len(passage.tokens))
     by_labels: Counter[tuple[str, ...]] = Counter()
     una: set[str] = set()
-    for uid, unit in passage.units.items():
+    for unit in passage.units.values():
         if unit.kind == IMPLICIT:
             counts.implicit_units += 1
-        elif unit.kind == INTERNAL and is_scene_unit(passage, uid):
+        elif unit.kind == INTERNAL and main_relations(unit):
             counts.scene_units += 1
         counts.edges += len(unit.outgoing)
         for edge in unit.outgoing:

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 EXEMPTION = "tests/test_validation.py::TestMutants::test_exemption"
+VALUES = "tests/test_value_types.py"
 
 MUTANTS = [
     # Each validator rule's exemption.
@@ -111,6 +112,33 @@ MUTANTS = [
     Mutant("score-labeled-match-is-gold-count", "scoring.py",
            "tally[key[1:]][0] += g if g < p else p", "tally[key[1:]][0] += g",
            ("tests/test_scoring.py::test_greedy_counts_equal_optimal_matching",)),
+    # Records: every one from `value_type`, `CategoryCounts` mutable.
+    Mutant("value-type-frozen-over-class-methods", "categories.py",
+           "    body.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)\n"
+           "    skip = (*names, \"__dict__\", \"__weakref__\")\n"
+           "    body.update((k, v) for k, v in cls.__dict__.items() if k not in skip)\n",
+           "    skip = (*names, \"__dict__\", \"__weakref__\")\n"
+           "    body.update((k, v) for k, v in cls.__dict__.items() if k not in skip)\n"
+           "    body.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)\n",
+           # Not a test of test_value_types.py, which then fails to collect.
+           ("tests/test_core.py::test_stats_apa_counts",)),
+    Mutant("counts-hashed-by-fields", "core.py",
+           "    __hash__ = None\n    __setattr__", "    __setattr__",
+           (f"{VALUES}::test_category_counts_are_mutable_equal_by_fields_and_unhashable",)),
+    Mutant("counts-fields-not-deletable", "core.py",
+           "    __delattr__ = object.__delattr__\n", "",
+           (f"{VALUES}::test_category_counts_fields_can_be_deleted",)),
+    Mutant("counts-add-any-operand", "core.py",
+           "        if other.__class__ is not self.__class__:\n            return NotImplemented\n",
+           "",
+           (f"{VALUES}::test_category_counts_add_only_category_counts",)),
+    Mutant("stats-scene-needs-two-main-relations", "core.py",
+           "INTERNAL and main_relations(unit):", "INTERNAL and main_relations(unit) > 1:",
+           ("tests/test_core.py::test_stats_apa_counts",)),
+    # Subprocess tests run the package under test.
+    Mutant("module-entry-point-not-called", "__main__.py",
+           "    entry_point()\n", "    pass\n",
+           ("tests/test_cli.py::TestUsage::test_runs_as_module[uccakit]",)),
 ]
 
 

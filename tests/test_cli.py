@@ -7,7 +7,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +26,8 @@ from uccakit import (
 from uccakit import cli
 from uccakit.cli import entry_point, main
 
-from conftest import CORPUS_DIR, EDGE_DIR
+from conftest import CORPUS_DIR, EDGE_DIR, SRC
 from strategies import bracket_sources, mutated_documents
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 KICKED = CORPUS_DIR / "01-kicked-ball.txt"
 SHOWER = CORPUS_DIR / "03-shower-remote.txt"

@@ -275,6 +275,16 @@ def test_off_order_tables_decide_cycles_in_preorder_ids(monkeypatch, units, mess
             assert sum(e.remote for e in p.edges()) == len(pairs)
 
 
+def test_cycle_search_starts_past_units_it_reached():
+    # The search that names the cycle's unit starts at v, listed first, and
+    # reaches t2, listed next, so it skips t2 as a start before it finds the
+    # cycle from r.
+    units = [_TWO_SCENES[i] for i in (4, 5, 0, 1, 2, 3, 6, 7, 8, 9)]
+    edges = _TWO_SCENE_EDGES + remotes(("s", "b"), ("u", "a"))
+    message = "remote edges create a cycle through unit 'a'"
+    assert_remote_cycle(toks("a b c d"), units, edges, message)
+
+
 def test_last_edge_remote_past_the_subtree(monkeypatch):
     # v's last edge is remote, to u after v's subtree, and b, between the
     # two, reaches v remotely: v's subtree ends at t2, before b, whatever
@@ -517,6 +527,14 @@ def test_yield_includes_remote_when_asked():
     assert 0 not in plain
     assert 0 in wide
     assert plain < wide
+
+
+def test_yield_with_remote_into_own_subtree():
+    # The remote target "dog" is also reached through the scene's own A.
+    p = parse_passage("[H [A [E big] [C dog]] [P barked] (dog A)]")
+    scene = p.units[p.root].outgoing[0].child
+    assert any(e.remote for e in p.units[scene].outgoing)
+    assert yield_of(p, scene, include_remote=True) == yield_of(p, scene) == frozenset({0, 1, 2})
 
 
 def test_extents_are_public_and_read_only():

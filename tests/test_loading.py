@@ -5,16 +5,14 @@ import importlib
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import uccakit
 from uccakit import cli, parse_passage, to_interchange
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, SRC
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 KICKED = CORPUS_DIR / "01-kicked-ball.txt"
 
 # The public names, by the module that defines or re-exports them.
@@ -166,6 +164,15 @@ class TestPublicSurface:
         exec("from uccakit import *", namespace)
         namespace.pop("__builtins__")
         assert set(namespace) == set(uccakit.__all__)
+
+    @pytest.mark.parametrize("module", sorted({module for _, module in HOMES}))
+    def test_submodule_name_returns_the_submodule(self, module):
+        # Importing a submodule binds it on the package, so in this process
+        # the hook is called by hand.
+        assert uccakit.__getattr__(module) is importlib.import_module(f"uccakit.{module}")
+
+    def test_dir_lists_public_names_and_submodules(self):
+        assert {*uccakit.__all__, *(module for _, module in HOMES)} <= set(dir(uccakit))
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

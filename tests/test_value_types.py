@@ -207,6 +207,20 @@ def test_category_counts_are_mutable_equal_by_fields_and_unhashable():
     assert CategoryCounts().categories == {}
 
 
+def test_category_counts_fields_can_be_deleted():
+    c = counts()
+    del c.edges
+    with pytest.raises(AttributeError):
+        c.edges
+    assert c.tokens == 4
+
+
+@pytest.mark.parametrize("other", [1, None, {"edges": 1}], ids=["int", "None", "dict"])
+def test_category_counts_add_only_category_counts(other):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        counts() + other
+
+
 RECORDS = [obj for obj, _, _, _ in EXAMPLES] + [REPORT, counts()]
 RECORD_IDS = IDS + ["ScoreReport", "CategoryCounts"]
 

@@ -685,8 +685,8 @@ def _shape_class(passage: Passage, classes: dict[tuple, int], grow: bool = True)
     Units are visited bottom-up, in reverse of their pre-order ids, and a
     unit's shape names each child by the child's class number, so equal
     numbers mean equal subtrees at any depth.  Children go in order of
-    their first positions, each unit's taken from its sorted children (an
-    empty extent's is the token count).  `classes` numbers the distinct
+    their first positions: a terminal's least one, another unit's its first
+    child's (an empty extent's is the token count).  `classes` numbers the distinct
     shapes and is shared by the passages being compared; unless `grow`, it
     is only read, and the first shape it lacks gives None.
     """
@@ -702,11 +702,11 @@ def _shape_class(passage: Passage, classes: dict[tuple, int], grow: bool = True)
             else:
                 children.append((first[e.child], e.categories.labels, number[e.child]))
         children.sort()
-        tokens = tuple(sorted(unit.tokens))
+        tokens = unit.tokens
         shape = (unit.kind, tokens, tuple(children), tuple(sorted(remotes)))
         cls = classes.setdefault(shape, len(classes)) if grow else classes.get(shape)
         if cls is None:
             return None
         number[unit.id] = cls
-        first[unit.id] = tokens[0] if tokens else children[0][0] if children else empty
+        first[unit.id] = min(tokens) if tokens else children[0][0] if children else empty
     return number[passage.root]

@@ -159,8 +159,8 @@ def from_interchange(data: bytes | str) -> Passage:
     except RecursionError:
         raise MalformedDocument("not valid JSON: nested too deeply")
     # A lone surrogate, raw in a str or decoded from a \uXXXX escape, fits
-    # no UTF-8 output.  Canonical documents are raw UTF-8 and skip this.
-    if source is data or "\\ud" in source or "\\uD" in source:
+    # no UTF-8 output.  Strictly decoded bytes can hold one only from an escape.
+    if source is data or "\\" in source:
         try:
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:

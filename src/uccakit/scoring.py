@@ -32,22 +32,22 @@ class EdgeSignature:
     remote: bool
 
 
-def _edge_keys(passage: Passage) -> list[tuple[tuple[int, ...], tuple[str, ...], bool]]:
-    """Each scored edge's signature as a plain (tokens, labels, remote) key.
-    Implicit and zero-width children have an empty extent and are skipped."""
+def _edge_keys(passage: Passage) -> list[tuple[frozenset[int], tuple[str, ...], bool]]:
+    """Each scored edge's signature as a plain (extent, labels, remote) key, with
+    the child's extent from `passage.extents`; empty extents are skipped."""
     extents = passage.extents
     keys = []
     for unit in passage.units.values():
         for e in unit.outgoing:
             extent = extents[e.child]
             if extent:
-                keys.append((tuple(sorted(extent)), e.categories.labels, e.remote))
+                keys.append((extent, e.categories.labels, e.remote))
     return keys
 
 
 @_gc_paused
 def signatures(passage: Passage) -> list[EdgeSignature]:
-    return [EdgeSignature(*key) for key in _edge_keys(passage)]
+    return [EdgeSignature(tuple(sorted(span)), *rest) for span, *rest in _edge_keys(passage)]
 
 
 @value_type

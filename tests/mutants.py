@@ -112,6 +112,21 @@ MUTANTS = [
     Mutant("score-labeled-match-is-gold-count", "scoring.py",
            "tally[key[1:]][0] += g if g < p else p", "tally[key[1:]][0] += g",
            ("tests/test_scoring.py::test_greedy_counts_equal_optimal_matching",)),
+    # The surrogate check only where an escape can be; spans as extent sets,
+    # sorted where they are shown.
+    Mutant("surrogate-check-skipped-for-bytes", "interchange.py",
+           'if source is data or "\\\\" in source:', "if source is data:",
+           ("tests/test_interchange.py::TestLoneSurrogates::test_escape_rejected",)),
+    Mutant("score-span-by-width", "scoring.py",
+           "keys.append((extent, ", "keys.append((len(extent), ",
+           ("tests/test_scoring.py::test_greedy_counts_equal_optimal_matching",
+            "tests/test_scoring.py::TestConventions::test_spans_match_by_position_not_width")),
+    Mutant("signatures-unsorted", "scoring.py",
+           "EdgeSignature(tuple(sorted(span)), ", "EdgeSignature(tuple(span), ",
+           ("tests/test_scoring.py::TestSignatures::test_discontiguous_span_in_position_order",)),
+    Mutant("shape-first-unsorted", "core.py",
+           "min(tokens) if tokens", "next(iter(tokens)) if tokens",
+           ("tests/test_core.py::test_isomorphic_orders_children_by_least_position",)),
     # Records: every one from `value_type`, `CategoryCounts` mutable.
     Mutant("value-type-frozen-over-class-methods", "categories.py",
            "    body.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)\n"
@@ -120,8 +135,7 @@ MUTANTS = [
            "    skip = (*names, \"__dict__\", \"__weakref__\")\n"
            "    body.update((k, v) for k, v in cls.__dict__.items() if k not in skip)\n"
            "    body.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)\n",
-           # Not a test of test_value_types.py, which then fails to collect.
-           ("tests/test_core.py::test_stats_apa_counts",)),
+           (f"{VALUES}::test_category_counts_are_mutable_equal_by_fields_and_unhashable",)),
     Mutant("counts-hashed-by-fields", "core.py",
            "    __hash__ = None\n    __setattr__", "    __setattr__",
            (f"{VALUES}::test_category_counts_are_mutable_equal_by_fields_and_unhashable",)),

@@ -667,6 +667,27 @@ def test_isomorphic_ignores_input_ids_and_sibling_spec_order():
     assert isomorphic(apa(), build_passage(tokens, units, edges))
 
 
+def test_isomorphic_orders_children_by_least_position():
+    # Positions 1 and 9 share a slot of a small set's table, so on CPython a
+    # frozenset of them iterates in the order they were listed in; the two
+    # numberings list them in opposite orders.
+    tokens = toks("a b c d e f g h i j")
+    rest = (0, 2, 3, 4, 5, 6, 7, 8)
+    p = build_passage(
+        tokens,
+        [UnitSpec("r", "internal"), UnitSpec("x", "terminal", (1, 9)),
+         UnitSpec("y", "terminal", rest)],
+        [EdgeSpec("r", "x", "A"), EdgeSpec("r", "y", "P")],
+    )
+    q = build_passage(
+        tokens,
+        [UnitSpec("c", "terminal", rest), UnitSpec("b", "terminal", (9, 1)),
+         UnitSpec("a", "internal")],
+        [EdgeSpec("a", "c", "P"), EdgeSpec("a", "b", "A")],
+    )
+    assert isomorphic(p, q) and isomorphic(q, p)
+
+
 def test_isomorphic_distinguishes_labels():
     p = parse_passage("[H [A John] [P slept] ]")
     q = parse_passage("[H [A John] [S slept] ]")

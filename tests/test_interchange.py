@@ -2,12 +2,10 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 
-import uccakit
 from uccakit import (
     FILE_EXTENSION,
     FORMAT_VERSION,
@@ -30,7 +28,7 @@ from uccakit import (
 )
 from uccakit.core import id_key
 
-from conftest import CORPUS, FIXTURES, corpus_ids
+from conftest import CORPUS, FIXTURES, SRC, corpus_ids
 from strategies import passages
 
 EXPECTED_SMALL = """\
@@ -576,7 +574,7 @@ def test_loading_retains_nothing():
     # on the package this process imported.
     child = subprocess.run(
         [sys.executable, "-c", _RETAINED],
-        env=dict(os.environ, PYTHONPATH=str(Path(uccakit.__file__).parents[1])),
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         timeout=120,

@@ -347,6 +347,20 @@ class TestSignatures:
         p = parse_passage("[H [A This] [F is] [S+A mine] ]")
         assert any(s.categories == ("S", "A") for s in signatures(p))
 
+    def test_discontiguous_span_in_position_order(self):
+        # A set promises no order: CPython iterates frozenset({1, 8}) as 8, 1.
+        tokens = [Token(t, i) for i, t in enumerate("a b c d e f g h i".split())]
+        units = [
+            UnitSpec("r", "internal"),
+            UnitSpec("x", "terminal", (1, 8)),
+            UnitSpec("y", "terminal", (0, 2, 3, 4, 5, 6, 7)),
+        ]
+        edges = [EdgeSpec("r", "x", "A"), EdgeSpec("r", "y", "P")]
+        assert signatures(build_passage(tokens, units, edges)) == [
+            EdgeSignature((1, 8), ("A",), False),
+            EdgeSignature((0, 2, 3, 4, 5, 6, 7), ("P",), False),
+        ]
+
 
 class TestMismatch:
     def test_differing_token_named(self):
@@ -441,6 +455,14 @@ class TestConventions:
         assert (cs.matched, cs.gold, cs.predicted) == (5, 6, 6)
         assert cs.precision == pytest.approx(5 / 6)
         assert cs.f1 == pytest.approx(5 / 6)
+
+    def test_spans_match_by_position_not_width(self):
+        # Every edge of one side has an edge of the same width and labels on
+        # the other; only the scene edge also covers the same positions.
+        gold = parse_passage("[H [A John] [P ran] ]")
+        pred = parse_passage("[H [P John] [A ran] ]")
+        cs = score(gold, pred).labeled_primary
+        assert (cs.matched, cs.gold, cs.predicted) == (1, 3, 3)
 
 
 class TestReportOutput:

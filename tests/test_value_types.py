@@ -30,94 +30,107 @@ from uccakit import (
 )
 from uccakit.notation import NotationToken
 
-A = CategorySet.of("A")
 MESSAGE = "function word attached as remote: 'to'"
-
-# (record, its field names in order, its field values, its repr)
-EXAMPLES = [
-    (
-        Token("John", 0),
-        ("text", "position", "is_punct"),
-        ("John", 0, False),
-        "Token(text='John', position=0, is_punct=False)",
-    ),
-    (
-        Edge("0", "1", A),
-        ("parent", "child", "categories", "remote"),
-        ("0", "1", A, False),
-        "Edge(parent='0', child='1', categories=CategorySet(labels=('A',)), remote=False)",
-    ),
-    (
-        Unit("1", "terminal", frozenset({0})),
-        ("id", "kind", "tokens", "outgoing"),
-        ("1", "terminal", frozenset({0}), ()),
-        "Unit(id='1', kind='terminal', tokens=frozenset({0}), outgoing=())",
-    ),
-    (
-        UnitSpec("0", "internal"),
-        ("id", "kind", "tokens"),
-        ("0", "internal", ()),
-        "UnitSpec(id='0', kind='internal', tokens=())",
-    ),
-    (
-        EdgeSpec("0", "1", A, True),
-        ("parent", "child", "categories", "remote"),
-        ("0", "1", A, True),
-        "EdgeSpec(parent='0', child='1', categories=CategorySet(labels=('A',)), remote=True)",
-    ),
-    (
-        NotationToken("word", "John", 3, 7),
-        ("kind", "text", "start", "end"),
-        ("word", "John", 3, 7),
-        "NotationToken(kind='word', text='John', start=3, end=7)",
-    ),
-    (
-        EdgeSignature((0, 2), ("S", "A"), False),
-        ("tokens", "categories", "remote"),
-        ((0, 2), ("S", "A"), False),
-        "EdgeSignature(tokens=(0, 2), categories=('S', 'A'), remote=False)",
-    ),
-    (
-        ClassScores(1, 2, 3),
-        ("matched", "gold", "predicted"),
-        (1, 2, 3),
-        "ClassScores(matched=1, gold=2, predicted=3)",
-    ),
-    (
-        Diagnostic("R5", "error", "2", MESSAGE),
-        ("rule", "severity", "unit", "message"),
-        ("R5", "error", "2", MESSAGE),
-        "Diagnostic(rule='R5', severity='error', unit='2', "
-        "message=\"function word attached as remote: 'to'\")",
-    ),
-    (
-        RuleInfo("R1", "error", "one root", "2.1"),
-        ("id", "severity", "description", "guideline_anchor"),
-        ("R1", "error", "one root", "2.1"),
-        "RuleInfo(id='R1', severity='error', description='one root', guideline_anchor='2.1')",
-    ),
-    (
-        CategorySet.of("A", "S"),
-        ("labels",),
-        (("S", "A"),),
-        "CategorySet(labels=('S', 'A'))",
-    ),
+IDS = [
+    "Token", "Edge", "Unit", "UnitSpec", "EdgeSpec", "NotationToken", "EdgeSignature",
+    "ClassScores", "Diagnostic", "RuleInfo", "CategorySet",
 ]
-IDS = [type(obj).__name__ for obj, _, _, _ in EXAMPLES]
 
 
-@pytest.mark.parametrize("obj, names, values, text", EXAMPLES, ids=IDS)
+def examples():
+    """Per record type of IDS: (record, its field names in order, its field
+    values, its repr).  Made inside each test, so that a fault in making
+    records fails the tests instead of stopping this file's collection."""
+    a = CategorySet.of("A")
+    return {
+        "Token": (
+            Token("John", 0),
+            ("text", "position", "is_punct"),
+            ("John", 0, False),
+            "Token(text='John', position=0, is_punct=False)",
+        ),
+        "Edge": (
+            Edge("0", "1", a),
+            ("parent", "child", "categories", "remote"),
+            ("0", "1", a, False),
+            "Edge(parent='0', child='1', categories=CategorySet(labels=('A',)), remote=False)",
+        ),
+        "Unit": (
+            Unit("1", "terminal", frozenset({0})),
+            ("id", "kind", "tokens", "outgoing"),
+            ("1", "terminal", frozenset({0}), ()),
+            "Unit(id='1', kind='terminal', tokens=frozenset({0}), outgoing=())",
+        ),
+        "UnitSpec": (
+            UnitSpec("0", "internal"),
+            ("id", "kind", "tokens"),
+            ("0", "internal", ()),
+            "UnitSpec(id='0', kind='internal', tokens=())",
+        ),
+        "EdgeSpec": (
+            EdgeSpec("0", "1", a, True),
+            ("parent", "child", "categories", "remote"),
+            ("0", "1", a, True),
+            "EdgeSpec(parent='0', child='1', categories=CategorySet(labels=('A',)), remote=True)",
+        ),
+        "NotationToken": (
+            NotationToken("word", "John", 3, 7),
+            ("kind", "text", "start", "end"),
+            ("word", "John", 3, 7),
+            "NotationToken(kind='word', text='John', start=3, end=7)",
+        ),
+        "EdgeSignature": (
+            EdgeSignature((0, 2), ("S", "A"), False),
+            ("tokens", "categories", "remote"),
+            ((0, 2), ("S", "A"), False),
+            "EdgeSignature(tokens=(0, 2), categories=('S', 'A'), remote=False)",
+        ),
+        "ClassScores": (
+            ClassScores(1, 2, 3),
+            ("matched", "gold", "predicted"),
+            (1, 2, 3),
+            "ClassScores(matched=1, gold=2, predicted=3)",
+        ),
+        "Diagnostic": (
+            Diagnostic("R5", "error", "2", MESSAGE),
+            ("rule", "severity", "unit", "message"),
+            ("R5", "error", "2", MESSAGE),
+            "Diagnostic(rule='R5', severity='error', unit='2', "
+            "message=\"function word attached as remote: 'to'\")",
+        ),
+        "RuleInfo": (
+            RuleInfo("R1", "error", "one root", "2.1"),
+            ("id", "severity", "description", "guideline_anchor"),
+            ("R1", "error", "one root", "2.1"),
+            "RuleInfo(id='R1', severity='error', description='one root', guideline_anchor='2.1')",
+        ),
+        "CategorySet": (
+            CategorySet.of("A", "S"),
+            ("labels",),
+            (("S", "A"),),
+            "CategorySet(labels=('S', 'A'))",
+        ),
+    }
+
+
+def test_examples_cover_ids():
+    assert list(examples()) == IDS
+
+
+@pytest.mark.parametrize("name", IDS)
 class TestValueObjects:
-    def test_fields_cannot_be_set_or_deleted(self, obj, names, values, text):
+    def test_fields_cannot_be_set_or_deleted(self, name):
+        obj, names, values, text = examples()[name]
         assert type(obj).__match_args__ == names
-        for name in names:
+        for field in names:
             with pytest.raises(FrozenInstanceError):
-                setattr(obj, name, None)
+                setattr(obj, field, None)
             with pytest.raises(FrozenInstanceError):
-                delattr(obj, name)
-        assert tuple(getattr(obj, name) for name in names) == values
+                delattr(obj, field)
+        assert tuple(getattr(obj, field) for field in names) == values
 
-    def test_equality_and_hash_follow_the_fields(self, obj, names, values, text):
+    def test_equality_and_hash_follow_the_fields(self, name):
+        obj, names, values, text = examples()[name]
         twin = type(obj)(*values)
         assert twin == obj and not twin != obj
         assert hash(twin) == hash(obj) == hash(values)
@@ -126,12 +139,14 @@ class TestValueObjects:
             assert other != obj
         assert obj != values
 
-    def test_repr(self, obj, names, values, text):
+    def test_repr(self, name):
+        obj, names, values, text = examples()[name]
         assert repr(obj) == text
 
 
-@pytest.mark.parametrize("obj, names", [example[:2] for example in EXAMPLES], ids=IDS)
-def test_slotted_without_instance_dict(obj, names):
+@pytest.mark.parametrize("name", IDS)
+def test_slotted_without_instance_dict(name):
+    obj, names, _, _ = examples()[name]
     assert not hasattr(obj, "__dict__")
     assert type(obj).__slots__ == names
     with pytest.raises(FrozenInstanceError):
@@ -139,8 +154,9 @@ def test_slotted_without_instance_dict(obj, names):
 
 
 def test_category_set_field_cannot_be_added():
+    a = CategorySet.of("A")
     with pytest.raises(FrozenInstanceError):
-        A.extra = 1
+        a.extra = 1
 
 
 @pytest.mark.parametrize("text", ["PA", "UNA", "A", ""])
@@ -150,9 +166,6 @@ def test_category_set_refuses_a_bare_string(text):
         CategorySet(text)
 
 
-SCORES = ClassScores(1, 2, 3)
-NONE = ClassScores(0, 0, 0)
-REPORT = ScoreReport(SCORES, NONE, SCORES, NONE, {"A": SCORES})
 REPORT_FIELDS = (
     "labeled_primary", "labeled_remote", "unlabeled_primary", "unlabeled_remote", "per_category",
 )
@@ -165,9 +178,16 @@ def counts():
     return CategoryCounts({"A": 2, "P": 1}, 3, 1, 0, 0, 0, 4)
 
 
+def score_report():
+    scores = ClassScores(1, 2, 3)
+    none = ClassScores(0, 0, 0)
+    return ScoreReport(scores, none, scores, none, {"A": scores})
+
+
 def test_score_report_is_frozen_equal_by_fields_and_unhashable():
-    assert type(REPORT).__match_args__ == REPORT_FIELDS
-    assert repr(REPORT) == (
+    report, scores, none = score_report(), ClassScores(1, 2, 3), ClassScores(0, 0, 0)
+    assert type(report).__match_args__ == REPORT_FIELDS
+    assert repr(report) == (
         "ScoreReport(labeled_primary=ClassScores(matched=1, gold=2, predicted=3), "
         "labeled_remote=ClassScores(matched=0, gold=0, predicted=0), "
         "unlabeled_primary=ClassScores(matched=1, gold=2, predicted=3), "
@@ -176,14 +196,14 @@ def test_score_report_is_frozen_equal_by_fields_and_unhashable():
     )
     for name in REPORT_FIELDS:
         with pytest.raises(FrozenInstanceError):
-            setattr(REPORT, name, None)
+            setattr(report, name, None)
         with pytest.raises(FrozenInstanceError):
-            delattr(REPORT, name)
-    assert REPORT == ScoreReport(SCORES, NONE, SCORES, NONE, {"A": ClassScores(1, 2, 3)})
-    assert REPORT != ScoreReport(SCORES, NONE, SCORES, NONE, {"A": NONE})
-    assert REPORT != ScoreReport(SCORES, NONE, SCORES, SCORES, {"A": SCORES})
+            delattr(report, name)
+    assert report == ScoreReport(scores, none, scores, none, {"A": ClassScores(1, 2, 3)})
+    assert report != ScoreReport(scores, none, scores, none, {"A": none})
+    assert report != ScoreReport(scores, none, scores, scores, {"A": scores})
     with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-        hash(REPORT)
+        hash(report)
 
 
 def test_category_counts_are_mutable_equal_by_fields_and_unhashable():
@@ -221,20 +241,26 @@ def test_category_counts_add_only_category_counts(other):
         counts() + other
 
 
-RECORDS = [obj for obj, _, _, _ in EXAMPLES] + [REPORT, counts()]
 RECORD_IDS = IDS + ["ScoreReport", "CategoryCounts"]
 
 
-@pytest.mark.parametrize("obj", RECORDS, ids=RECORD_IDS)
+def record(name):
+    made = {key: example[0] for key, example in examples().items()}
+    return {**made, "ScoreReport": score_report(), "CategoryCounts": counts()}[name]
+
+
+@pytest.mark.parametrize("name", RECORD_IDS)
 @pytest.mark.parametrize("protocol", [0, pickle.HIGHEST_PROTOCOL], ids=["p0", "highest"])
-def test_pickle_round_trip(obj, protocol):
+def test_pickle_round_trip(name, protocol):
+    obj = record(name)
     back = pickle.loads(pickle.dumps(obj, protocol))
     assert type(back) is type(obj)
     assert back == obj and repr(back) == repr(obj)
 
 
-@pytest.mark.parametrize("obj", RECORDS, ids=RECORD_IDS)
-def test_copy_and_deepcopy(obj):
+@pytest.mark.parametrize("name", RECORD_IDS)
+def test_copy_and_deepcopy(name):
+    obj = record(name)
     shallow, deep = copy.copy(obj), copy.deepcopy(obj)
     assert type(shallow) is type(deep) is type(obj)
     assert shallow == obj and deep == obj

@@ -29,6 +29,7 @@ import re
 import unicodedata
 from bisect import bisect_left
 from itertools import accumulate, repeat
+from operator import attrgetter
 
 from .categories import ALL_LABELS, CategorySet, InvalidCategory, canonical_set
 from .core import (
@@ -180,7 +181,7 @@ def _is_punct_text(text: str) -> bool:
 
 @value_type
 class _Label:
-    """One label text, parsed once per parse and shared by every group using it."""
+    """One label text, parsed once and shared by every group using it."""
 
     text: str
     cats: CategorySet
@@ -219,9 +220,16 @@ class _Node:
         self.outgoing: list | None = None
 
 
-def _parse_label_token(tok: NotationToken, labels: dict[str, _Label]) -> _Label:
-    """The label `tok` spells.  `labels` memoises label text -> `_Label` over one parse."""
-    label = labels.get(tok.text)
+# The labels that parses build, shared by the whole process and keyed by
+# their text.  Only a label with no digit index, whose text with its one
+# dash at most is its set's canonical notation, is stored, and a failing
+# label never is: at most three entries per valid category set.
+_LABELS: dict[str, _Label] = {}
+
+
+def _parse_label_token(tok: NotationToken) -> _Label:
+    """The label `tok` spells, from the process's label table if it is there."""
+    label = _LABELS.get(tok.text)
     if label is None:
         m = _LABEL_SHAPE.match(tok.text)
         try:
@@ -229,7 +237,8 @@ def _parse_label_token(tok: NotationToken, labels: dict[str, _Label]) -> _Label:
         except InvalidCategory as exc:
             raise ParseError(str(exc), position=tok.start) from None
         label = _Label(tok.text, cats, m.group(3), bool(m.group(4)), bool(m.group(1)))
-        labels[tok.text] = label
+        if m.group(3) is None and m.group(2) == cats.notation():
+            _LABELS[tok.text] = label
     return label
 
 
@@ -250,7 +259,6 @@ def _parse_tree(source: str) -> _Node:
     its own lists as they arrive, and `_finish_group` labels it at its ']'.
     """
     toks = iter(lex(source))
-    labels: dict[str, _Label] = {}
     node = _Node(0)
     stack: list[_Node] = []  # the groups enclosing `node`
     for tok in toks:
@@ -266,10 +274,10 @@ def _parse_tree(source: str) -> _Node:
                 raise UnbalancedBrackets(
                     "']' without a matching '['", position=tok.start, found="']'"
                 )
-            _finish_group(node, labels)
+            _finish_group(node)
             node = stack.pop()
         elif kind == LPAREN:
-            node.parens.append(_read_paren(tok, toks, labels))
+            node.parens.append(_read_paren(tok, toks))
         else:
             raise UnbalancedBrackets(
                 "')' without a matching '('", position=tok.start, found="')'"
@@ -284,7 +292,7 @@ def _parse_tree(source: str) -> _Node:
     return node
 
 
-def _finish_group(node: _Node, labels: dict[str, _Label]) -> None:
+def _finish_group(node: _Node) -> None:
     """Label the group `node` at its ']': one pass per group, so all that is
     left is the label and the UNA mark, words at either end of the group."""
     words, children, parens = node.words, node.children, node.parens
@@ -319,7 +327,7 @@ def _finish_group(node: _Node, labels: dict[str, _Label]) -> None:
             position=node.start,
             expected="a label just inside '[' or just before ']'",
         )
-    node.label = label = _parse_label_token(label_tok, labels)
+    node.label = label = _parse_label_token(label_tok)
     node.label_at = label_tok.start
     if not words and not children and not parens and not (label.open_dash or label.close_dash):
         raise ParseError(
@@ -329,7 +337,7 @@ def _finish_group(node: _Node, labels: dict[str, _Label]) -> None:
         )
 
 
-def _read_paren(open_tok: NotationToken, toks, labels: dict[str, _Label]) -> _RawParen:
+def _read_paren(open_tok: NotationToken, toks) -> _RawParen:
     """The round-bracket group opened by `open_tok`, read on from `toks`."""
     words: list[NotationToken] = []
     for tok in toks:
@@ -370,7 +378,7 @@ def _read_paren(open_tok: NotationToken, toks, labels: dict[str, _Label]) -> _Ra
             position=open_tok.start,
             expected="a label first or last, as in (John A)",
         )
-    label = _parse_label_token(label_tok, labels)
+    label = _parse_label_token(label_tok)
     if label.open_dash or label.close_dash or label.index:
         raise ParseError(
             "continuation marks are not allowed on remote or implicit units",
@@ -503,15 +511,15 @@ def parse_passage(
     """
     root = _parse_tree(source)
     parent = _resolve(root)
-    word_toks = sorted([*root.words, *(t for n in parent for t in n.words)], key=lambda t: t.start)
+    start = attrgetter("start")
+    word_toks = sorted([*root.words, *(t for n in parent for t in n.words)], key=start)
     punct = {text: _is_punct_text(text) for text in {t.text for t in word_toks}}
     stream = [Token(t.text, pos, punct[t.text]) for pos, t in enumerate(word_toks)]
-    position_of = {t.start: pos for pos, t in enumerate(word_toks)}
+    position_of = dict(zip(map(start, word_toks), range(len(word_toks))))
 
     for node in parent:
         if not (node.children or node.parens):
-            positions = [position_of[t.start] for t in node.words]
-            node.positions = tuple(pos for pos in positions if not stream[pos].is_punct)
+            node.positions = tuple([position_of[t.start] for t in node.words if not punct[t.text]])
             if not node.positions:
                 raise ParseError("unit covers no text", position=node.start)
 
@@ -562,7 +570,7 @@ def parse_passage(
                 " or use lenient mode",
                 position=paren.start,
             )
-        ref = bisect_left(word_toks, paren.start, key=lambda t: t.start)
+        ref = bisect_left(word_toks, paren.start, key=start)
         if on_warning is not None:
             on_warning(
                 f"byte {paren.start}: {len(minimal)} units read {' '.join(wanted)!r};"

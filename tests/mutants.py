@@ -10,6 +10,11 @@ the entry again, do not drop it), and exits non-zero unless every entry is
 killed.  Before the mutants, the named tests must pass on an unchanged copy.
 
     python tests/mutants.py [NAME ...]
+    python tests/mutants.py --all [NAME ...]
+
+With --all the runner also runs the whole suite against each mutant's copy,
+after its named tests, and adds to the entry's line how many tests fail there
+that do not fail on the unchanged copy.  That takes about a minute a mutant.
 
 The tests are run from this checkout with the temporary directory as the
 working directory, without pytest's cache and without writing bytecode, so
@@ -109,6 +114,19 @@ MUTANTS = [
            "                    raise RenderError('ambiguous')\n"
            "                if not text:\n",
            ("tests/test_notation.py::TestRender::test_first_fault_wins",)),
+    # The process's label table: bounded, keyed by the whole label text.
+    Mutant("label-table-unbounded", "notation.py",
+           "        if m.group(3) is None and m.group(2) == cats.notation():\n"
+           "            _LABELS[tok.text] = label\n",
+           "        _LABELS[tok.text] = label\n",
+           ("tests/test_notation.py::test_label_table_stays_bounded",)),
+    Mutant("label-table-keyed-by-categories", "notation.py",
+           "_LABELS[tok.text] = label", "_LABELS[m.group(2)] = label",
+           ("tests/test_notation.py::TestNonContiguity",)),
+    Mutant("terminal-positions-keep-punctuation", "notation.py",
+           " for t in node.words if not punct[t.text]])", " for t in node.words])",
+           ("tests/test_notation.py::TestParseBasics::test_punctuation_inside_a_terminal_unowned",
+            "tests/test_notation.py::TestParseBasics::test_punctuation_only_unit_rejected")),
     Mutant("score-labeled-match-is-gold-count", "scoring.py",
            "tally[key[1:]][0] += g if g < p else p", "tally[key[1:]][0] += g",
            ("tests/test_scoring.py::test_greedy_counts_equal_optimal_matching",)),
@@ -119,6 +137,10 @@ MUTANTS = [
            ("tests/test_interchange.py::TestLoneSurrogates::test_escape_rejected",)),
     Mutant("score-span-by-width", "scoring.py",
            "keys.append((extent, ", "keys.append((len(extent), ",
+           ("tests/test_scoring.py::test_greedy_counts_equal_optimal_matching",
+            "tests/test_scoring.py::TestConventions::test_spans_match_by_position_not_width")),
+    Mutant("score-span-by-size", "scoring.py",
+           "keys.append((extent, ", "keys.append((frozenset({len(extent)}), ",
            ("tests/test_scoring.py::test_greedy_counts_equal_optimal_matching",
             "tests/test_scoring.py::TestConventions::test_spans_match_by_position_not_width")),
     Mutant("signatures-unsorted", "scoring.py",
@@ -156,11 +178,11 @@ MUTANTS = [
 ]
 
 
-def run_tests(tests, src: Path, work: Path) -> subprocess.CompletedProcess:
+def run_tests(tests, src: Path, work: Path, *options: str) -> subprocess.CompletedProcess:
     """Run `tests` from this checkout against the package in `src`."""
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--hypothesis-seed=0", *[f"{ROOT}/{test}" for test in tests]],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-seed=0", *options, *[f"{ROOT}/{test}" for test in tests]],
         cwd=work,
         env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
         capture_output=True,
@@ -177,13 +199,23 @@ def outcome(mutant: Mutant, work: Path) -> str:
     if text.count(mutant.snippet) != 1:
         return "snippet not found"
     path.write_text(text.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
-    done = run_tests(mutant.tests, src, work)
+    done = run_tests(mutant.tests, src, work, "-x")
     if done.returncode not in (0, 1):  # not a plain pass or fail: show why
         return f"error (pytest exit {done.returncode})\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
     return "killed" if done.returncode else "survived"
 
 
+def failing_in_suite(src: Path, work: Path) -> set[str]:
+    """The ids of the tests that fail, or error, when the whole suite runs
+    against the package in `src`."""
+    done = run_tests(["tests"], src, work, "-rfE", "--continue-on-collection-errors")
+    return {line.split()[1] for line in done.stdout.splitlines()
+            if line.startswith(("FAILED ", "ERROR "))}
+
+
 def main(names: list[str]) -> int:
+    whole = "--all" in names
+    names = [name for name in names if name != "--all"]
     chosen = [m for m in MUTANTS if not names or m.name in names]
     unknown = set(names) - {m.name for m in MUTANTS}
     if unknown:
@@ -194,15 +226,21 @@ def main(names: list[str]) -> int:
         work = Path(tmp)
         shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
         tests = list(dict.fromkeys(test for m in chosen for test in m.tests))
-        done = run_tests(tests, work / "src", work)
+        done = run_tests(tests, work / "src", work, "-x")
         if done.returncode:
             print(f"the named tests fail without a mutant:\n{done.stdout[-2000:]}{done.stderr}")
             return 2
+        if whole:
+            unchanged = failing_in_suite(work / "src", work)
+            print(f"the whole suite fails {len(unchanged)} without a mutant", flush=True)
         survivors = 0
         for mutant in chosen:
             began = time.perf_counter()
             result = outcome(mutant, work)
             survivors += result != "killed"
+            if whole and result in ("killed", "survived"):
+                more = failing_in_suite(work / "src", work) - unchanged
+                result += f", {len(more)} more failing in the whole suite"
             print(f"{mutant.name:<48} {result}  ({time.perf_counter() - began:.1f} s)", flush=True)
     print(f"{len(chosen) - survivors} of {len(chosen)} killed"
           f" in {time.perf_counter() - started:.0f} s")

@@ -2,6 +2,9 @@ import ast
 import gc
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,7 +49,7 @@ from uccakit import (
     yield_of,
 )
 
-from conftest import CORPUS, EDGE_DIR, corpus_ids
+from conftest import CORPUS, EDGE_DIR, SRC, corpus_ids
 from test_validation import minimal_wrapper_passage
 
 
@@ -165,6 +168,13 @@ class TestParseBasics:
         assert p.tokens[2].is_punct
         for unit in p.units.values():
             assert 2 not in unit.tokens
+
+    def test_punctuation_inside_a_terminal_unowned(self):
+        p = parse_passage("[H [A John , Smith] [P ran] ]")
+        assert p.tokens[1].is_punct
+        terminal = next(u for u in p.units.values() if 0 in u.tokens)
+        assert terminal.tokens == frozenset({0, 2})
+        assert all(1 not in unit.tokens for unit in p.units.values())
 
     def test_top_level_wrapped_in_fresh_root(self):
         p = parse_passage("[H [A John] [P slept] ] [L and] [H [A Mary] [P left] ]")
@@ -680,6 +690,40 @@ class TestNonContiguity:
         # a nested bracket; the dash only pairs with siblings.
         with pytest.raises(OrphanContinuation):
             parse_passage("[H [A- John] [P slept] [A [E the] [-A boy] ] ]")
+
+
+# Parses a passage of 1,000 indexed fragment pairs and some non-canonical
+# spellings after a small passage has filled the first-use tables, drops
+# it, and prints how many bytes the parse left allocated.
+_RETAINED = """
+import gc, tracemalloc
+from uccakit import parse_passage
+parse_passage("[H [A w] [P w] [S+A w]]")
+source = " ".join(f"[H [A{k}- a{k}] [P b] [-A{k} c{k}]]" for k in range(1, 1001))
+source += " [H [A+A a] [P b] [A+S c] [S+A+A- d] [-A+S+A e]] [H [A+A- f] [P g] [-A+A h]]"
+gc.collect()
+tracemalloc.start()
+passage = parse_passage(source)
+assert len(passage.tokens) == 3008
+del passage
+gc.collect()
+print(tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_label_table_stays_bounded():
+    # Only unindexed labels spelled in canonical order are kept between
+    # parses, so indices and other spellings leave nothing behind.  In a
+    # fresh interpreter, on the package this process imported.
+    child = subprocess.run(
+        [sys.executable, "-c", _RETAINED],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert int(child.stdout) < 64 * 1024
 
 
 class TestParens:

@@ -44,6 +44,29 @@ def max_matching(gold_keys, pred_keys):
     return sum(1 for gi in range(len(gold_keys)) if try_assign(gi, set()))
 
 
+def spans(passage):
+    """Each scored edge as an `EdgeSignature`, with the child's span found
+    here: its terminals' own tokens, reached down primary edges.  It reads
+    neither `passage.extents` nor `signatures()`, so a fault in the
+    scorer's keys cannot reach the oracles that use it."""
+    below = {}
+
+    def span(uid):
+        if uid not in below:
+            unit = passage.units[uid]
+            below[uid] = set(unit.tokens).union(
+                *(span(e.child) for e in unit.outgoing if not e.remote)
+            )
+        return below[uid]
+
+    return [
+        EdgeSignature(tuple(sorted(span(e.child))), e.categories.labels, e.remote)
+        for unit in passage.units.values()
+        for e in unit.outgoing
+        if span(e.child)
+    ]
+
+
 def class_keys(sigs, *, labeled, remote):
     return [
         (s.tokens, s.categories if labeled else ())
@@ -151,10 +174,10 @@ IMPLICIT_UNA_REMOTE = [
 
 def assert_counts_equal_optimal_matching(gold, pred):
     """All three counts of the four classes and of every category, and
-    the category order, against a maximum matching over signatures()."""
+    the category order, against a maximum matching over spans()."""
     report = score(gold, pred)
-    gold_sigs = signatures(gold)
-    pred_sigs = signatures(pred)
+    gold_sigs = spans(gold)
+    pred_sigs = spans(pred)
     classes = [
         (report.labeled_primary, True, False),
         (report.labeled_remote, True, True),
@@ -216,8 +239,8 @@ def reference_score(gold, predicted):
     """The counting `score` did before it counted each side once: every
     labeled and unlabeled key of both sides in one tally over the union of
     their keys.  Kept as the oracle for the scorer; tokens must match."""
-    gold_keys = [(s.tokens, s.categories, s.remote) for s in signatures(gold)]
-    pred_keys = [(s.tokens, s.categories, s.remote) for s in signatures(predicted)]
+    gold_keys = [(s.tokens, s.categories, s.remote) for s in spans(gold)]
+    pred_keys = [(s.tokens, s.categories, s.remote) for s in spans(predicted)]
     gold_spans = Counter([(tokens, (), remote) for tokens, _, remote in gold_keys])
     pred_spans = Counter([(tokens, (), remote) for tokens, _, remote in pred_keys])
     # [matched, gold, predicted] per (labels, remote); unlabeled keys carry no labels.

@@ -242,6 +242,8 @@ def build_passage(
     With require_coverage=False, non-punctuation tokens outside every
     terminal are tolerated, so that partially annotated text can still be
     loaded and validated.  The call pauses the cyclic garbage collector.
+    Texts must be strings, flags bools and positions ints, as in interchange;
+    other types raise InvalidToken, InvalidUnit or InvalidRemote first.
     """
     tokens = tuple(tokens)
     for i, tok in enumerate(tokens):
@@ -249,10 +251,20 @@ def build_passage(
             raise InvalidToken(f"token {i} is not a Token")
         if tok.position != i:
             raise InvalidToken(f"token {tok.text!r} has position {tok.position}, expected {i}")
+        if type(tok.text) is not str or type(tok.is_punct) is not bool:
+            raise InvalidToken(f"token {i} has text {tok.text!r} and is_punct {tok.is_punct!r};"
+                               " expected a str and a bool")
         if not tok.text:
             break  # `_build` names it
     units = [(spec.id, spec.kind, spec.tokens) for spec in units]
     edges = [(e.parent, e.child, e.categories, e.remote) for e in edges]
+    for uid, _, positions in units:
+        for pos in positions:
+            if type(pos) is not int:
+                raise InvalidUnit(f"unit {uid!r} claims token position {pos!r}, not an int")
+    for parent, child, _, remote in edges:
+        if type(remote) is not bool:
+            raise InvalidRemote(f"edge {parent!r} -> {child!r} has remote {remote!r}, not a bool")
     return _build(passage_id, tokens, units, edges, require_coverage)
 
 
@@ -328,7 +340,7 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
         key = p * n + c
         unsorted |= key < last
         last = key
-        outgoing[p].append(Edge(parent, child, categories, remote))
+        outgoing[p].append(Edge(ids[p], ids[c], categories, remote))
     numerals = list(map(str, range(n)))  # the writer's ids
     numbered = ids == numerals
     if writer_order and (unsorted or not numbered):

@@ -61,10 +61,12 @@ def _array(items: list[str], indent: str) -> str:
     return "[" + step + ("," + step).join(items) + "\n" + indent + "]"
 
 
-# The writer's fixed pieces: JSON booleans and token heads by flag, and
-# each canonical label tuple's array, built on its first use.
+# The writer's fixed pieces: JSON booleans and token heads by flag, the
+# opening, separator and closing of a terminal's positions as `_array` lays
+# them out, and each canonical label tuple's array, built on its first use.
 _BOOLS = ("false", "true")
 _TOKEN_HEADS = tuple(f'{{\n      "is_punct": {flag},\n      "text": ' for flag in _BOOLS)
+_POSITIONS = _array(["\0", "\0"], "      ").split("\0")
 _is_remote = attrgetter("remote")
 
 
@@ -75,12 +77,6 @@ class _LabelArrays(dict):
 
 
 _LABEL_ARRAYS = _LabelArrays()
-
-
-def _positions(tokens: frozenset[int]) -> str:
-    if not tokens:  # every internal and implicit unit: skip the call
-        return "[]"
-    return _array([*map(str, sorted(tokens))], "      ")
 
 
 def _by_child(outgoing: tuple[Edge, ...]) -> tuple[Edge, ...] | list[Edge]:
@@ -101,27 +97,33 @@ def to_interchange(passage: Passage) -> bytes:
     dominate the cost.  Strings go through the same C escaper.  Edges are
     written unit by unit in id order, each unit's by child id.
     """
+    return _document(passage).encode("utf-8")
+
+
+def _document(passage: Passage) -> str:
+    """The text `to_interchange` encodes, each table joined as soon as it is laid out."""
     enc = encode_basestring
+    head, sep, tail = _POSITIONS
     units = passage.units.values()
-    tokens = [f"{_TOKEN_HEADS[t.is_punct]}{enc(t.text)}\n    }}" for t in passage.tokens]
-    unit_texts = [
-        f'{{\n      "id": {enc(u.id)},\n      "kind": {enc(u.kind)},\n'
-        f'      "tokens": {_positions(u.tokens)}\n    }}'
-        for u in units
-    ]
-    edges = [
+    edge_array = _array([
         f'{{\n      "categories": {_LABEL_ARRAYS[e.categories.labels]},'
         f'\n      "child": {enc(e.child)},\n      "parent": {enc(e.parent)},'
         f'\n      "remote": {_BOOLS[e.remote]}\n    }}'
-        for u in units
+        for u in units if u.outgoing  # only internal units have edges
         for e in _by_child(u.outgoing)
-    ]
-    text = (
-        f'{{\n  "edges": {_array(edges, "  ")},\n  "format_version": {enc(FORMAT_VERSION)},'
-        f'\n  "id": {enc(passage.id)},\n  "tokens": {_array(tokens, "  ")},'
-        f'\n  "units": {_array(unit_texts, "  ")}\n}}\n'
+    ], "  ")
+    token_array = _array(
+        [f"{_TOKEN_HEADS[t.is_punct]}{enc(t.text)}\n    }}" for t in passage.tokens], "  "
     )
-    return text.encode("utf-8")
+    unit_array = _array([
+        f'{{\n      "id": {enc(u.id)},\n      "kind": {enc(u.kind)},\n      "tokens": '
+        f'{head + sep.join(map(str, sorted(u.tokens))) + tail if u.tokens else "[]"}\n    }}'
+        for u in units
+    ], "  ")
+    return (
+        f'{{\n  "edges": {edge_array},\n  "format_version": {enc(FORMAT_VERSION)},'
+        f'\n  "id": {enc(passage.id)},\n  "tokens": {token_array},\n  "units": {unit_array}\n}}\n'
+    )
 
 
 def _field(obj: dict, key: str, kind: type, what: str, index: int | None = None):
@@ -145,6 +147,18 @@ def from_interchange(data: bytes | str) -> Passage:
     schema, version) raise MalformedDocument.  Like `build_passage`, the
     call pauses the cyclic garbage collector.
     """
+    passage_id, tokens, units, edges = _tables(_decoded(data))
+    # Children come in id order.  Edges out of the writer's order are sorted
+    # by parent, then child id, which puts each unit's children in order.
+    passage = _build(passage_id, tokens, units, edges, False, writer_order=True)
+    if passage is None:
+        edges.sort(key=lambda e: (id_key(e[0]), id_key(e[1])))
+        passage = _build(passage_id, tokens, units, edges, False)
+    return passage
+
+
+def _decoded(data: bytes | str):
+    """The JSON value of `data`; the decoded text dies with the call."""
     if isinstance(data, bytes):
         try:
             source = data.decode("utf-8")
@@ -165,6 +179,11 @@ def from_interchange(data: bytes | str) -> Passage:
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
         except UnicodeEncodeError:
             raise MalformedDocument("not valid Unicode: a string holds a lone surrogate")
+    return doc
+
+
+def _tables(doc) -> tuple:
+    """The passage id and schema-checked tables of the JSON tree `doc`, freed on return."""
     if not isinstance(doc, dict):
         raise MalformedDocument("document must be a JSON object")
 
@@ -227,11 +246,4 @@ def from_interchange(data: bytes | str) -> Passage:
         except InvalidCategory as exc:
             raise MalformedDocument(f"edge {i}: {exc}")
         edges.append((parent, child, categories, remote))
-    tokens = tuple(tokens)
-    # Children come in id order.  Edges out of the writer's order are sorted
-    # by parent, then child id, which puts each unit's children in order.
-    passage = _build(passage_id, tokens, units, edges, False, writer_order=True)
-    if passage is None:
-        edges.sort(key=lambda e: (id_key(e[0]), id_key(e[1])))
-        passage = _build(passage_id, tokens, units, edges, False)
-    return passage
+    return passage_id, tuple(tokens), units, edges

@@ -204,8 +204,7 @@ class _Node:
     and is freed as soon as the parse is done with it.
     """
 
-    __slots__ = ("start", "words", "children", "parens", "label", "label_at", "una",
-                 "positions", "uid", "outgoing")
+    __slots__ = ("start", "words", "children", "parens", "label", "label_at", "una", "positions")
 
     def __init__(self, start: int):
         self.start = start
@@ -216,8 +215,6 @@ class _Node:
         self.label_at = 0  # the label token's byte offset
         self.una = False
         self.positions: tuple[int, ...] = ()  # a terminal's, never empty
-        self.uid = ""  # the unit's pre-order id, and its `Edge`s, once numbered
-        self.outgoing: list | None = None
 
 
 # The labels that parses build, shared by the whole process and keyed by
@@ -480,6 +477,51 @@ def _minimal_readers(readers, wanted, owner, parent):
     return [u for u in candidates if u not in wrappers]
 
 
+def _numbered(root: _Node) -> tuple[list[tuple], tuple[Token, ...], list[tuple]]:
+    """The rows `_assemble` takes for the tree `root`, the token stream, and each
+    remote group as (owner id, owner's edge list, group, words before it).  Only
+    these outlive the call, so the tree and its word tokens die before assembly."""
+    parent = _resolve(root)
+    start = attrgetter("start")
+    word_toks = sorted([*root.words, *(t for n in parent for t in n.words)], key=start)
+    punct = {text: _is_punct_text(text) for text in {t.text for t in word_toks}}
+    stream = tuple([Token(t.text, pos, punct[t.text]) for pos, t in enumerate(word_toks)])
+    position_of = dict(zip(map(start, word_toks), range(len(word_toks))))
+
+    for node in parent:
+        if not (node.children or node.parens):
+            node.positions = tuple([position_of[t.start] for t in node.words if not punct[t.text]])
+            if not node.positions:
+                raise ParseError("unit covers no text", position=node.start)
+
+    # Outgoing edges: children, implicit units, then (in the caller) remote targets.
+    units: list[tuple] = []  # (id, kind, positions, outgoing), as _assemble takes them
+    requests: list[tuple] = []
+    stack: list[tuple] = [(root, None, None, None)]  # (node or None, cats, parent id, its edges)
+    while stack:
+        node, cats, up, up_outgoing = stack.pop()
+        uid = str(len(units))
+        if up is not None:
+            up_outgoing.append(Edge(up, uid, cats))
+        if node is None:
+            units.append((uid, IMPLICIT, (), ()))
+            continue
+        outgoing: list[Edge] = []
+        units.append((uid, TERMINAL if node.positions else INTERNAL, node.positions, outgoing))
+        for paren in reversed(node.parens):
+            if paren.words == [IMPLICIT_MARKER]:
+                stack.append((None, paren.cats, uid, outgoing))
+            else:
+                ref = bisect_left(word_toks, paren.start, key=start)
+                requests.append((uid, outgoing, paren, ref))
+        for child in reversed(node.children):
+            cats = child.label.cats
+            if child.una and UNA_MARKER not in cats:
+                cats = canonical_set(cats.labels + (UNA_MARKER,))
+            stack.append((child, cats, uid, outgoing))
+    return units, stream, requests
+
+
 @_gc_paused
 def parse_passage(
     source: str,
@@ -509,55 +551,18 @@ def parse_passage(
     same test over the remote edges and the pre-order subtree ranges.
     Like `build_passage`, the call pauses the cyclic garbage collector.
     """
-    root = _parse_tree(source)
-    parent = _resolve(root)
-    start = attrgetter("start")
-    word_toks = sorted([*root.words, *(t for n in parent for t in n.words)], key=start)
-    punct = {text: _is_punct_text(text) for text in {t.text for t in word_toks}}
-    stream = [Token(t.text, pos, punct[t.text]) for pos, t in enumerate(word_toks)]
-    position_of = dict(zip(map(start, word_toks), range(len(word_toks))))
-
-    for node in parent:
-        if not (node.children or node.parens):
-            node.positions = tuple([position_of[t.start] for t in node.words if not punct[t.text]])
-            if not node.positions:
-                raise ParseError("unit covers no text", position=node.start)
-
-    # Outgoing edges: children, implicit units, then (below) remote targets.
-    units: list[tuple] = []  # (id, kind, positions, outgoing), as _assemble takes them
-    remote_requests: list[tuple[_Node, _RawParen]] = []
-    stack: list[tuple] = [(root, None, None)]  # (node, or None if implicit; categories; parent)
-    while stack:
-        node, cats, up = stack.pop()
-        uid = str(len(units))
-        if up is not None:
-            up.outgoing.append(Edge(up.uid, uid, cats))
-        if node is None:
-            units.append((uid, IMPLICIT, (), ()))
-            continue
-        node.uid, node.outgoing = uid, []
-        units.append((uid, TERMINAL if node.positions else INTERNAL, node.positions, node.outgoing))
-        for paren in reversed(node.parens):
-            if paren.words == [IMPLICIT_MARKER]:
-                stack.append((None, paren.cats, node))
-            else:
-                remote_requests.append((node, paren))
-        for child in reversed(node.children):
-            cats = child.label.cats
-            if child.una and UNA_MARKER not in cats:
-                cats = canonical_set(cats.labels + (UNA_MARKER,))
-            stack.append((child, cats, node))
+    units, stream, requests = _numbered(_parse_tree(source))
     extents = _extents(units)
-    if not remote_requests:
-        return _assemble(passage_id, tuple(stream), units, extents)
-    remote_requests.sort(key=lambda request: request[1].start)
-    texts = [t.text for t in word_toks]
-    readers = _reader_index(texts, extents, {len(paren.words) for _, paren in remote_requests})
+    if not requests:
+        return _assemble(passage_id, stream, units, extents)
+    requests.sort(key=lambda request: request[2].start)
+    texts = [t.text for t in stream]
+    readers = _reader_index(texts, extents, {len(request[2].words) for request in requests})
     parent_of = {e.child: uid for uid, _, _, outgoing in units for e in outgoing}
 
-    def resolve_remote(owner: _Node, paren: _RawParen) -> str:
+    def resolve_remote(owner: str, paren: _RawParen, ref: int) -> str:
         wanted = tuple(paren.words)
-        minimal = _minimal_readers(readers, wanted, owner.uid, parent_of.get)
+        minimal = _minimal_readers(readers, wanted, owner, parent_of.get)
         if not minimal:
             raise UnresolvedRemote(
                 f"no unit reads {' '.join(wanted)!r}", position=paren.start
@@ -570,7 +575,6 @@ def parse_passage(
                 " or use lenient mode",
                 position=paren.start,
             )
-        ref = bisect_left(word_toks, paren.start, key=start)
         if on_warning is not None:
             on_warning(
                 f"byte {paren.start}: {len(minimal)} units read {' '.join(wanted)!r};"
@@ -580,26 +584,25 @@ def parse_passage(
         before = [uid for uid in minimal if first[uid] < ref]
         return max(before, key=first.get) if before else min(minimal, key=first.get)
 
-    remotes: dict[tuple[str, str], tuple[Edge, _RawParen]] = {}  # in source order
-    for owner, paren in remote_requests:
-        target = resolve_remote(owner, paren)
-        if (owner.uid, target) in remotes:
+    remotes: dict[tuple[str, str], _RawParen] = {}  # in source order
+    for owner, outgoing, paren, ref in requests:
+        target = resolve_remote(owner, paren, ref)
+        if (owner, target) in remotes:
             raise ParseError(
                 f"a second remote group in one unit reads {' '.join(paren.words)!r}",
                 position=paren.start,
             )
-        edge = Edge(owner.uid, target, paren.cats, True)
-        owner.outgoing.append(edge)
-        remotes[owner.uid, target] = edge, paren
+        outgoing.append(Edge(owner, target, paren.cats, True))
+        remotes[owner, target] = paren
 
     pairs = [(int(owner), int(target)) for owner, target in remotes]
     if not _remote_cycle(pairs, units):
-        return _assemble(passage_id, tuple(stream), units, extents)
+        return _assemble(passage_id, stream, units, extents)
     # Blame the first group, in source order, whose edge closes a cycle with
     # the primary edges and the groups before it: more groups keep a cycle,
     # so the first prefix with one is found by bisection.
     cyclic = bisect_left(range(len(pairs)), True, key=lambda k: _remote_cycle(pairs[:k + 1], units))
-    paren = [*remotes.values()][cyclic][1]
+    paren = [*remotes.values()][cyclic]
     raise ParseError(
         f"the remote group reading {' '.join(paren.words)!r} closes a cycle of edges",
         position=paren.start,

@@ -256,14 +256,17 @@ def parse_config(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'RULE = severity', got {raw!r}")
         rule, _, value = (part.strip() for part in line.partition("="))
-        if rule not in _RULES:
-            raise ValueError(f"line {lineno}: unknown rule id {rule!r}")
-        if value not in (ERROR, WARNING, OFF):
-            raise ValueError(
-                f"line {lineno}: severity must be error, warning or off, got {value!r}"
-            )
+        _check_override(rule, value, f"line {lineno}: ")
         overrides[rule] = value
     return overrides
+
+
+def _check_override(rule: str, severity: str, where: str = "") -> None:
+    """Raise ValueError, its message led by `where`, for an unknown rule id or severity."""
+    if rule not in _RULES:
+        raise ValueError(f"{where}unknown rule id {rule!r}")
+    if severity not in (ERROR, WARNING, OFF):
+        raise ValueError(f"{where}severity must be error, warning or off, got {severity!r}")
 
 
 def load_config(path) -> dict[str, str]:
@@ -277,9 +280,12 @@ def validate(passage: Passage, config: dict[str, str] | None = None) -> list[Dia
 
     `config` maps rule ids to an overriding severity, or to "off" to
     suppress reporting.  Overrides affect reporting only; the set of
-    detected violations is always the same.
+    detected violations is always the same.  An unknown rule id or
+    severity raises ValueError, as in `parse_config`.
     """
     config = config or {}
+    for rule, severity in config.items():
+        _check_override(rule, severity)
     checker = _Checker(passage)
     out: list[Diagnostic] = []
     excerpts: dict[str, str] = {}  # one per unit, however many rules it breaks

@@ -171,6 +171,27 @@ MUTANTS = [
     Mutant("stats-scene-needs-two-main-relations", "core.py",
            "INTERNAL and main_relations(unit):", "INTERNAL and main_relations(unit) > 1:",
            ("tests/test_core.py::test_stats_apa_counts",)),
+    # One representation at a time: each reader and writer frees one before
+    # it builds the next, and a loaded passage holds one string per unit id.
+    Mutant("reader-keeps-its-json-tree", "interchange.py",
+           "_tables(_decoded(data))", "_tables(doc := _decoded(data))",
+           ("tests/test_interchange.py::test_reader_frees_text_and_tree_before_building",)),
+    Mutant("writer-keeps-edge-records", "interchange.py",
+           "edge_array = _array([", "edge_array = _array(edge_records := [",
+           ("tests/test_interchange.py::test_writer_joins_each_table_as_it_goes",)),
+    Mutant("parser-keeps-its-tree", "notation.py",
+           "_numbered(_parse_tree(source))", "_numbered(root := _parse_tree(source))",
+           ("tests/test_notation.py::test_parser_frees_its_tree_before_assembly",)),
+    Mutant("edges-keep-the-edge-table-ids", "core.py",
+           "Edge(ids[p], ids[c], ", "Edge(parent, child, ",
+           ("tests/test_interchange.py::test_loaded_edges_share_their_units_ids",)),
+    # Field types and overrides refused where they come in.
+    Mutant("bool-position-accepted", "core.py",
+           "if type(pos) is not int:", "if not isinstance(pos, int):",
+           ("tests/test_core.py::test_build_error_message[position-bool]",)),
+    Mutant("unknown-severity-accepted", "validation.py",
+           "if severity not in (ERROR, WARNING, OFF):", "if severity is None:",
+           ("tests/test_validation.py::TestConfig::test_validate_refuses_what_parse_config_refuses",)),
     # Subprocess tests run the package under test.
     Mutant("module-entry-point-not-called", "__main__.py",
            "    entry_point()\n", "    pass\n",

@@ -398,13 +398,25 @@ _EDGES = [EdgeSpec("r", "h", "H"), EdgeSpec("h", "t", "P"), EdgeSpec("h", "u", "
         ([], [], [], InvalidUnit, "passage has no units; expected one internal root"),
         (toks("a b"), _UNITS[:2] + [UnitSpec("t", "terminal", (0, 0)), _UNITS[3]], _EDGES,
          InvalidUnit, "terminal unit 't' lists token position 0 twice"),
+        # Types the interchange format cannot hold, or `to_interchange` cannot write.
+        ([Token(5, 0)], [], [], InvalidToken,
+         "token 0 has text 5 and is_punct False; expected a str and a bool"),
+        (toks("a b") + [Token(".", 2, 2)], _UNITS, _EDGES, InvalidToken,
+         "token 2 has text '.' and is_punct 2; expected a str and a bool"),
+        (toks("a b"), _UNITS[:2] + [UnitSpec("t", "terminal", (False,)), _UNITS[3]], _EDGES,
+         InvalidUnit, "unit 't' claims token position False, not an int"),
+        (toks("a b"), _UNITS[:2] + [UnitSpec("t", "terminal", ("0",)), _UNITS[3]], _EDGES,
+         InvalidUnit, "unit 't' claims token position '0', not an int"),
+        (toks("a b"), _UNITS, _EDGES[:2] + [EdgeSpec("h", "u", "A", 2)],
+         InvalidRemote, "edge 'h' -> 'u' has remote 2, not a bool"),
     ],
     ids=[
         "not-a-token", "wrong-position", "empty-text", "unknown-kind", "dangling-parent",
         "duplicate-remote", "remote-to-itself", "several-roots", "terminal-without-tokens",
         "position-out-of-range", "internal-owns-tokens", "implicit-with-children",
         "internal-without-children", "terminal-root", "remote-to-root", "no-units",
-        "position-listed-twice",
+        "position-listed-twice", "text-not-str", "is-punct-not-bool", "position-bool",
+        "position-str", "remote-not-bool",
     ],
 )
 def test_build_error_message(tokens, units, edges, error, message):

@@ -49,7 +49,7 @@ from uccakit import (
     yield_of,
 )
 
-from conftest import CORPUS, EDGE_DIR, SRC, corpus_ids
+from conftest import CORPUS, EDGE_DIR, SRC, corpus_ids, layer_memory
 from test_validation import minimal_wrapper_passage
 
 
@@ -524,8 +524,8 @@ PAUSED = {
     ),
     "render": (render, passage_args(), "notation", "_fragments", 1),
     "render-right": (render, passage_args("right"), "notation", "_fragments", 1),
-    # The edges, tokens and units arrays, and the positions of 5 terminals.
-    "to_interchange": (to_interchange, passage_args(), "interchange", "_array", 8),
+    # The edges, tokens and units arrays; terminals' positions are laid out inline.
+    "to_interchange": (to_interchange, passage_args(), "interchange", "_array", 3),
     "isomorphic": (isomorphic, pair_args, "core", "_shape_class", 2),
     "score": (score, pair_args, "scoring", "_edge_keys", 2),
     "signatures": (signatures, passage_args(), "scoring", "_edge_keys", 1),
@@ -724,6 +724,14 @@ def test_label_table_stays_bounded():
     )
     assert child.returncode == 0, child.stderr
     assert int(child.stdout) < 64 * 1024
+
+
+def test_parser_frees_its_tree_before_assembly():
+    # The parse tree and its word tokens die before extents and assembly:
+    # on conftest's `long_source()`, with its remote groups, the peak passes
+    # what the passage keeps by 0.41 to 0.42 of it, and by 1.17 to 1.19 while
+    # they stayed alive (CPython 3.11.7, 3.12.1 and 3.13.0).
+    assert layer_memory()["parse_passage"]["ratio"] < 0.7
 
 
 class TestParens:

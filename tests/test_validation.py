@@ -266,6 +266,19 @@ class TestConfig:
             parse_config("R1 off")
         assert "line 1" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"R2": "bogus"}, "severity must be error, warning or off, got 'bogus'"),
+            ({"R1": "off", "R2 ": "off"}, "unknown rule id 'R2 '"),
+        ],
+        ids=["unknown-severity", "unknown-rule"],
+    )
+    def test_validate_refuses_what_parse_config_refuses(self, config, message):
+        with pytest.raises(ValueError) as err:
+            validate(parse_passage(MUTANT_SOURCES["R2"]), config)
+        assert str(err.value) == message
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "rules.cfg"
         path.write_text("R10 = warning\n", encoding="utf-8")

@@ -110,12 +110,11 @@ def _load_passages(
 ) -> list[Passage]:
     _check_name(path)
     fmt = _detect_format(path, source_format)
-    raw = _read(path)
     try:
         if fmt == INTERCHANGE:
-            return [from_interchange(raw)]
-        text = raw.decode("utf-8-sig")
-        chunks = split_passages(text)
+            return [from_interchange(_read(path))]
+        # The file's bytes and text are freed before the first passage is parsed.
+        chunks = split_passages(_read(path).decode("utf-8-sig"))
         stem = _stem(path)
         passages = []
         for i, chunk in enumerate(chunks, start=1):

@@ -20,6 +20,7 @@ import gc
 from bisect import bisect_left
 from collections import Counter
 from functools import wraps
+from operator import eq
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -29,6 +30,9 @@ TERMINAL = "terminal"
 INTERNAL = "internal"
 IMPLICIT = "implicit"
 _KINDS = (TERMINAL, INTERNAL, IMPLICIT)
+# The tokens of every non-terminal unit: one set, since each `frozenset()`
+# call makes a new one.
+_NO_TOKENS = frozenset()
 
 # The suffix of interchange files; here so that the command line can tell
 # formats apart without importing the JSON code.
@@ -127,7 +131,7 @@ class Unit:
 
     id: str
     kind: str
-    tokens: frozenset[int] = frozenset()
+    tokens: frozenset[int] = _NO_TOKENS
     outgoing: tuple[Edge, ...] = ()
 
 
@@ -341,8 +345,7 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
         unsorted |= key < last
         last = key
         outgoing[p].append(Edge(ids[p], ids[c], categories, remote))
-    numerals = list(map(str, range(n)))  # the writer's ids
-    numbered = ids == numerals
+    numbered = all(map(eq, ids, map(str, range(n))))  # the writer's ids
     if writer_order and (unsorted or not numbered):
         return None
     if bad_remote:
@@ -423,7 +426,7 @@ def _build(passage_id, tokens, units, edges, require_coverage, writer_order=Fals
             missing = sorted(set(ids) - {ids[i] for i in order})
             raise PrimaryCycle(f"units {missing!r} are not reachable from the root")
     if not (numbered and in_preorder):
-        rename = dict(zip([ids[i] for i in order], numerals))
+        rename = dict(zip([ids[i] for i in order], map(str, range(n))))
         rows = [(rename[ids[i]], units[i][1], units[i][2],
                  [Edge(rename[e.parent], rename[e.child], e.categories, e.remote)
                   for e in outgoing[i]]) for i in order]
@@ -528,7 +531,7 @@ def _assemble(passage_id, tokens, units, extents) -> Passage:
                 remote_parents.setdefault(e.child, []).append(e)
             else:
                 primary_parent[e.child] = e
-        own = extents[uid] if kind == TERMINAL else frozenset()
+        own = extents[uid] if kind == TERMINAL else _NO_TOKENS
         final_units[uid] = Unit(uid, kind, own, tuple(outgoing))
 
     remotes = {k: tuple(v) for k, v in remote_parents.items()}

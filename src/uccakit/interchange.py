@@ -37,6 +37,9 @@ from .core import (
 )
 
 FORMAT_VERSION = "1"
+# Each kind to the module's own string, which every loaded unit then
+# shares instead of holding the string the decoder made for it.
+_KINDS = {TERMINAL: TERMINAL, INTERNAL: INTERNAL, IMPLICIT: IMPLICIT}
 
 
 class MalformedDocument(UccaError):
@@ -219,7 +222,7 @@ def _tables(doc) -> tuple:
         if type(entry) is not dict:
             raise MalformedDocument(f"unit {i} must be an object")
         uid, kind = entry.get("id"), entry.get("kind")
-        if type(uid) is not str or kind not in (TERMINAL, INTERNAL, IMPLICIT):
+        if type(uid) is not str or type(kind) is not str or kind not in _KINDS:
             _field(entry, "id", str, "unit", i)
             _field(entry, "kind", str, "unit", i)
             raise MalformedDocument(f"unit {uid!r} has unknown kind {kind!r}")
@@ -227,7 +230,7 @@ def _tables(doc) -> tuple:
         # The exact type test excludes bools too.
         if type(positions) is not list or positions and not all(type(p) is int for p in positions):
             raise MalformedDocument(f"unit {uid!r}: 'tokens' must be a list of integers")
-        units.append((uid, kind, positions))
+        units.append((uid, _KINDS[kind], positions))
 
     raw_edges = _field(doc, "edges", list, "document")
     edges = []

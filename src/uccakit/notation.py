@@ -445,12 +445,18 @@ def _resolve(root: _Node) -> dict[_Node, _Node]:
     return parent
 
 
-def _reader_index(texts, extents, widths) -> dict[tuple[str, ...], list[str]]:
-    """Each surface text, a tuple of `texts` items, mapped to the units
-    reading it, among the units whose extent has a width in `widths`."""
+def _reader_index(texts, extents, wanted) -> dict[tuple[str, ...], list[str]]:
+    """Each text of `wanted`, a non-empty tuple of `texts` items, mapped to
+    the units reading it.  Only a unit as wide as some wanted text and
+    starting with its first word is indexed, so only such a unit has its
+    own text built; that text may still be one nobody asked for."""
+    firsts: dict[int, set[str]] = {}  # wanted width -> first words
+    for text in wanted:
+        firsts.setdefault(len(text), set()).add(text[0])
     readers: dict[tuple[str, ...], list[str]] = {}
     for uid, extent in extents.items():
-        if len(extent) in widths:
+        words = firsts.get(len(extent))
+        if words and texts[min(extent)] in words:
             readers.setdefault(tuple([texts[pos] for pos in sorted(extent)]), []).append(uid)
     return readers
 
@@ -557,7 +563,7 @@ def parse_passage(
         return _assemble(passage_id, stream, units, extents)
     requests.sort(key=lambda request: request[2].start)
     texts = [t.text for t in stream]
-    readers = _reader_index(texts, extents, {len(request[2].words) for request in requests})
+    readers = _reader_index(texts, extents, {tuple(request[2].words) for request in requests})
     parent_of = {e.child: uid for uid, _, _, outgoing in units for e in outgoing}
 
     def resolve_remote(owner: str, paren: _RawParen, ref: int) -> str:
@@ -690,9 +696,12 @@ def render(passage: Passage, label_side: str = "left") -> str:
 
     # A remote is written as its target's text, and only if the parser's
     # resolution of that text lands on exactly one unit; like the parser,
-    # index the readers of every width the targets have, once.
-    widths = {len(extents[e.child]) for uid in parens for e in units[uid].outgoing if e.remote}
-    readers = _reader_index(texts, extents, widths) if widths else {}
+    # index the readers of the targets' texts, once.
+    targets = {
+        e.child: tuple([texts[pos] for pos in sorted(extents[e.child])])
+        for uid in parens for e in units[uid].outgoing if e.remote
+    }
+    readers = _reader_index(texts, extents, set(targets.values()) - {()}) if targets else {}
 
     def parent(uid: str) -> str | None:
         edge = p.primary_parent_edge(uid)
@@ -703,7 +712,7 @@ def render(passage: Passage, label_side: str = "left") -> str:
         read = set()  # a reader resolves two groups alike when they read alike
         for e in units[uid].outgoing:
             if e.remote:
-                text = tuple([texts[pos] for pos in sorted(extents[e.child])])
+                text = targets[e.child]
                 if not text:
                     raise RenderError(
                         f"remote target {e.child} has no surface text to refer to it by"
@@ -772,18 +781,33 @@ def _fragments(p: Passage) -> dict[str, list[tuple[int, int]]]:
     """Each unit's fragments as (first, last) token positions.
 
     A fragment is a maximal run of the unit's tokens with only
-    punctuation between them.  Pre-order ids put children before
-    parents in reverse, so an internal unit merges the fragments of
-    its primary children.
+    punctuation between them.  Units are visited in reverse pre-order,
+    children before parents.  A unit's span runs from its first token to
+    its last: a terminal's own, an internal unit's the outer ends of its
+    primary children's fragments.  A span that holds no word outside the
+    unit is one fragment; only a gapped unit sorts and merges the runs of
+    its tokens or of its children's fragments.
     """
     words_before = list(accumulate((not t.is_punct for t in p.tokens), initial=0))
     frags: dict[str, list[tuple[int, int]]] = {}
     for uid in reversed(p.units):
         unit = p.units[uid]
         if unit.kind == TERMINAL:
+            first, last = min(unit.tokens), max(unit.tokens)
+        else:
+            parts = [frags[e.child] for e in unit.outgoing if not e.remote and frags[e.child]]
+            if not parts:
+                frags[uid] = []
+                continue
+            first = min([part[0][0] for part in parts])
+            last = max([part[-1][1] for part in parts])
+        if words_before[last + 1] - words_before[first] == len(p.extents[uid]):
+            frags[uid] = [(first, last)]
+            continue
+        if unit.kind == TERMINAL:
             runs = [(pos, pos) for pos in sorted(unit.tokens)]
         else:
-            runs = sorted(f for e in unit.outgoing if not e.remote for f in frags[e.child])
+            runs = sorted([run for part in parts for run in part])
         merged = frags[uid] = []
         for first, last in runs:
             if merged and words_before[first] == words_before[merged[-1][1] + 1]:

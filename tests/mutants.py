@@ -74,8 +74,8 @@ MUTANTS = [
            (f"{EXEMPTION}[W2-function-and-una]",)),
     # The checker's ids, made per call.
     Mutant("numerals-kept-between-builds", "core.py",
-           "numerals = list(map(str, range(n)))",
-           "numerals = _build.__dict__.setdefault(n, list(map(str, range(n))))",
+           "numbered = all(map(eq, ids, map(str, range(n))))",
+           "numbered = all(map(eq, ids, _build.__dict__.setdefault(n, list(map(str, range(n))))))",
            ("tests/test_interchange.py::test_loading_retains_nothing",)),
     Mutant("lex-unpaused", "notation.py",
            "@_gc_paused\ndef lex(", "def lex(",
@@ -114,6 +114,18 @@ MUTANTS = [
            "                    raise RenderError('ambiguous')\n"
            "                if not text:\n",
            ("tests/test_notation.py::TestRender::test_first_fault_wins",)),
+    # Remote text resolves through an index of the named texts only, and a
+    # unit whose span holds no other word is one fragment.
+    Mutant("reader-index-first-word-only", "notation.py",
+           "        words = firsts.get(len(extent))\n"
+           "        if words and texts[min(extent)] in words:\n",
+           "        words = set().union(*firsts.values())\n"
+           "        if extent and texts[min(extent)] in words:\n",
+           ("tests/test_notation.py::TestReaderIndex::test_index_holds_only_the_named_texts",)),
+    Mutant("fragment-span-one-word-short", "notation.py",
+           "if words_before[last + 1] - words_before[first] == len(",
+           "if words_before[last] - words_before[first] == len(",
+           ("tests/test_properties.py::test_fragments_are_the_runs_of_each_extent",)),
     # The process's label table: bounded, keyed by the whole label text.
     Mutant("label-table-unbounded", "notation.py",
            "        if m.group(3) is None and m.group(2) == cats.notation():\n"

@@ -9,6 +9,9 @@ from hypothesis import given
 from uccakit import (
     FILE_EXTENSION,
     FORMAT_VERSION,
+    IMPLICIT,
+    INTERNAL,
+    TERMINAL,
     EdgeSpec,
     InvalidCategory,
     InvalidUnit,
@@ -596,6 +599,19 @@ def test_loaded_edges_share_their_units_ids(renumber):
     for edge in passage.edges():
         assert edge.parent is passage.units[edge.parent].id
         assert edge.child is passage.units[edge.child].id
+
+
+@pytest.mark.parametrize("renumber", [False, True], ids=["in-writer-order", "renumbered"])
+def test_loaded_kinds_are_the_module_constants(renumber):
+    # The decoded JSON holds one "kind" string per unit; a loaded unit
+    # holds the module's own, as a parsed one does.
+    data = to_interchange(parse_passage(long_source(6) + " [H [P left] (IMP A)]"))
+    if renumber:
+        data = renumbered(data)
+    passage = from_interchange(data)
+    kinds = {TERMINAL: TERMINAL, INTERNAL: INTERNAL, IMPLICIT: IMPLICIT}
+    assert {unit.kind for unit in passage.units.values()} == set(kinds)
+    assert all(unit.kind is kinds[unit.kind] for unit in passage.units.values())
 
 
 # The bounds below are on tests/memory.py's ratios for conftest's

@@ -968,44 +968,79 @@ class TestReaderIndex:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """The widths asked of each index built during the test."""
+        """The texts asked of each index built during the test."""
         original = notation._reader_index
-        widths = []
+        texts = []
 
         def counting(tokens, extents, wanted):
-            widths.append(set(wanted))
+            texts.append(set(wanted))
             return original(tokens, extents, wanted)
 
         monkeypatch.setattr(notation, "_reader_index", counting)
-        return widths
+        return texts
 
     def test_parse_builds_one_index_for_all_widths(self, builds):
         p = parse_passage(self.TWO_WIDTHS)
         assert sum(e.remote for e in p.edges()) == 3
-        assert builds == [{1, 2}]
+        assert builds == [{("John",), ("the", "dog")}]
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_render_builds_one_index_per_target_width(self, builds, side):
         p = parse_passage(self.TWO_WIDTHS)
         builds.clear()
         text = render(p, side)
-        assert builds == [{1, 2}]
+        assert builds == [{("John",), ("the", "dog")}]
         assert isomorphic(parse_passage(text), p)
+
+    @pytest.mark.parametrize("how", ["parse", "render"])
+    def test_index_holds_only_the_named_texts(self, monkeypatch, how):
+        # "John ran" starts with a named text's word but is wider, and
+        # "the dog barked" is as wide as no named text: neither is indexed.
+        p = parse_passage(self.TWO_WIDTHS)
+        original = notation._reader_index
+        indexes = []
+
+        def kept(*args):
+            indexes.append(original(*args))
+            return indexes[-1]
+
+        monkeypatch.setattr(notation, "_reader_index", kept)
+        if how == "parse":
+            parse_passage(self.TWO_WIDTHS)
+        else:
+            render(p)
+        (readers,) = indexes
+        assert {text: len(uids) for text, uids in readers.items()} == {
+            ("John",): 1, ("the", "dog"): 1
+        }
 
     def test_no_remotes_build_no_index(self, builds):
         render(parse_passage(self.NO_REMOTES))
         assert builds == []
 
-    @pytest.mark.parametrize("how", ["parse", "interchange", "build"])
-    def test_terminal_tokens_are_their_extent(self, how):
-        p = parse_passage(self.TWO_WIDTHS)
+    def built(self, how):
+        """A passage with internal and implicit units, built as `how` says."""
+        p = parse_passage(f"{self.TWO_WIDTHS} [H [P slept] (IMP A)]")
         if how == "interchange":
             p = from_interchange(to_interchange(p))
         elif how == "build":
             p = build_passage(*spec_tables(p))
+        return p
+
+    @pytest.mark.parametrize("how", ["parse", "interchange", "build"])
+    def test_terminal_tokens_are_their_extent(self, how):
+        p = self.built(how)
         terminals = [u for u in p.units.values() if u.kind == "terminal"]
         assert terminals
         assert all(u.tokens is p.extents[u.id] for u in terminals)
+
+    @pytest.mark.parametrize("how", ["parse", "interchange", "build"])
+    def test_non_terminal_tokens_are_one_set(self, how):
+        p = self.built(how)
+        others = [u for u in p.units.values() if u.kind != "terminal"]
+        assert {u.kind for u in others} == {"internal", "implicit"}
+        assert all(u.tokens is others[0].tokens for u in others)
+        assert others[0].tokens == frozenset()
 
 
 class TestDeepNesting:

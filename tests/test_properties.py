@@ -34,7 +34,7 @@ from uccakit import (
     validate,
     yield_of,
 )
-from uccakit import core
+from uccakit import core, notation
 from uccakit.cli import main
 from uccakit.core import id_key
 from uccakit.notation import LABEL, WORD, ParseError
@@ -321,6 +321,58 @@ def test_text_renders_back_isomorphic_or_raises(source, side):
         except RenderError:
             return
         assert isomorphic(p, parse_passage(text))
+
+
+def runs_of_extents(p):
+    """Each unit's sorted extent, split wherever a word lies between two of
+    its positions: the fragments `render` writes."""
+    word_at = [not t.is_punct for t in p.tokens]
+    runs = {}
+    for uid, extent in p.extents.items():
+        runs[uid] = []
+        for pos in sorted(extent):
+            if runs[uid] and not any(word_at[runs[uid][-1][1] + 1:pos]):
+                runs[uid][-1] = (runs[uid][-1][0], pos)
+            else:
+                runs[uid].append((pos, pos))
+    return runs
+
+
+@settings(max_examples=400)
+@given(st.one_of(bracket_sources(), passages()))
+def test_fragments_are_the_runs_of_each_extent(drawn):
+    # Parsed text holds dashed fragments and punctuation words; drawn
+    # passages hold gapped units, unary chains and punctuation tokens.
+    p = parse_text(drawn, lenient=True) if isinstance(drawn, str) else drawn
+    if p is not None:
+        assert notation._fragments(p) == runs_of_extents(p)
+
+
+def index_of_every_unit(texts, extents, wanted):
+    """A reader index over every unit of every width, whatever is wanted."""
+    readers = {}
+    for uid, extent in extents.items():
+        readers.setdefault(tuple([texts[pos] for pos in sorted(extent)]), []).append(uid)
+    return readers
+
+
+def resolution(source, lenient):
+    warnings = []
+    try:
+        p = parse_passage(source, lenient_remotes=lenient, on_warning=warnings.append)
+    except UccaError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None), warnings
+    return to_interchange(p), warnings
+
+
+@settings(max_examples=400)
+@given(bracket_sources(), st.booleans())
+def test_remotes_resolve_as_over_an_index_of_every_unit(source, lenient):
+    # The index holds only the texts that remote groups name; the targets,
+    # errors and warnings are those of an index that holds every unit.
+    with mock.patch.object(notation, "_reader_index", index_of_every_unit):
+        expected = resolution(source, lenient)
+    assert resolution(source, lenient) == expected
 
 
 def reference_load(data):
